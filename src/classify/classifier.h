@@ -38,6 +38,15 @@ class BinaryClassifier {
   // P(positive) in [0, 1].
   virtual double Score(const FileMeta& meta, SimTimeUs now_us) const = 0;
 
+  // Bounds the score of an unchanging `meta` over a time window: on true,
+  // *lo <= Score(meta, t) <= *hi for every t in [t0_us, t1_us] (t0_us <=
+  // t1_us). False means the model cannot bound its score, so callers must
+  // score every time.
+  virtual bool ScoreBounds(const FileMeta& /*meta*/, SimTimeUs /*t0_us*/, SimTimeUs /*t1_us*/,
+                           double* /*lo*/, double* /*hi*/) const {
+    return false;
+  }
+
   // Hard decision at `threshold` (default 0.5). Higher thresholds are more
   // conservative about declaring a file expendable/deletable.
   bool Predict(const FileMeta& meta, SimTimeUs now_us, double threshold = 0.5) const {

@@ -96,4 +96,28 @@ double LogisticClassifier::Score(const FileMeta& meta, SimTimeUs now_us) const {
   return Sigmoid(z);
 }
 
+// Exact for the reason the features give: with `meta` fixed, log_age and
+// log_recency only grow with time, read_rate and write_rate only shrink, and
+// every other feature is constant. Standardizing divides by a positive std,
+// so each weighted term w_j * x_j is monotone in t and extremal at t0 or t1.
+// Summing the per-term minima (maxima) in Score's order then bounds z from
+// below (above), because rounded addition is monotone in each operand, and
+// the sigmoid is monotone.
+bool LogisticClassifier::ScoreBounds(const FileMeta& meta, SimTimeUs t0_us, SimTimeUs t1_us,
+                                     double* lo, double* hi) const {
+  const auto x0 = Standardize(ExtractFeatures(meta, t0_us));
+  const auto x1 = Standardize(ExtractFeatures(meta, t1_us));
+  double z_lo = b_;
+  double z_hi = b_;
+  for (size_t j = 0; j < kFeatureDim; ++j) {
+    const double a = w_[j] * x0[j];
+    const double b = w_[j] * x1[j];
+    z_lo += std::min(a, b);
+    z_hi += std::max(a, b);
+  }
+  *lo = Sigmoid(z_lo);
+  *hi = Sigmoid(z_hi);
+  return true;
+}
+
 }  // namespace sos

@@ -30,6 +30,8 @@ class LogisticClassifier final : public BinaryClassifier {
                                   SimTimeUs now_us, const LogisticConfig& config = {});
 
   double Score(const FileMeta& meta, SimTimeUs now_us) const override;
+  bool ScoreBounds(const FileMeta& meta, SimTimeUs t0_us, SimTimeUs t1_us, double* lo,
+                   double* hi) const override;
 
   const std::array<double, kFeatureDim>& weights() const { return w_; }
   double bias() const { return b_; }

@@ -3,6 +3,7 @@
 #include "src/host/file_system.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 #include "src/ecc/parity.h"
@@ -248,15 +249,6 @@ Result<PlacementSpec> ExtentFileSystem::PlacementSpecOf(uint64_t file_id) const 
   return device_->DescribePlacement(it->second.placement);
 }
 
-std::vector<uint64_t> ExtentFileSystem::FileIds() const {
-  std::vector<uint64_t> ids;
-  ids.reserve(files_.size());
-  for (const auto& [id, file] : files_) {
-    ids.push_back(id);
-  }
-  return ids;
-}
-
 std::vector<const FileMeta*> ExtentFileSystem::ScanFiles() const {
   std::vector<const FileMeta*> metas;
   metas.reserve(files_.size());
@@ -266,9 +258,25 @@ std::vector<const FileMeta*> ExtentFileSystem::ScanFiles() const {
   return metas;
 }
 
-std::vector<Extent> ExtentFileSystem::ExtentsOf(uint64_t file_id) const {
-  auto it = files_.find(file_id);
-  return it == files_.end() ? std::vector<Extent>{} : it->second.extents;
+void ExtentFileSystem::ForEachFile(const std::function<void(const FileView&)>& fn) const {
+  // Handle -> durability for this walk. Exact because during the walk only
+  // `fn` touches handles and it never closes one, so a handle that described
+  // as open keeps its spec until the walk ends. Failed describes are not
+  // memoized: `fn` may open that slot mid-walk.
+  std::array<std::optional<Durability>, kMaxPlacementHandles> memo{};
+  for (const auto& [id, file] : files_) {
+    const uint32_t slot = file.placement.id();  // kInvalidId for no handle
+    std::optional<Durability> durability = slot < memo.size() ? memo[slot] : std::nullopt;
+    if (!durability.has_value()) {
+      if (auto spec = device_->DescribePlacement(file.placement); spec.ok()) {
+        durability = spec.value().durability;
+        if (slot < memo.size()) {
+          memo[slot] = durability;
+        }
+      }
+    }
+    fn(FileView{file.meta, file.placement, durability, file.extents});
+  }
 }
 
 FsStats ExtentFileSystem::Stats() const {

@@ -16,7 +16,9 @@
 #define SOS_SRC_HOST_FILE_SYSTEM_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -87,16 +89,28 @@ class ExtentFileSystem {
   // The spec behind the file's handle (device lookup); errors if the handle
   // was closed out from under the file.
   [[nodiscard]] Result<PlacementSpec> PlacementSpecOf(uint64_t file_id) const;
-  std::vector<uint64_t> FileIds() const;
   FsStats Stats() const;
   uint64_t FreeBlocks() const;
 
-  // All file metadata, for the classification daemon's periodic scan.
+  // All file metadata in id order (the training set of periodic retraining).
   std::vector<const FileMeta*> ScanFiles() const;
 
-  // The file's allocated extents (device-level daemons map them to LBAs).
-  // Empty for unknown ids.
-  std::vector<Extent> ExtentsOf(uint64_t file_id) const;
+  // One live file as ForEachFile presents it.
+  struct FileView {
+    const FileMeta& meta;
+    PlacementHandle placement;
+    // Durability of the spec behind `placement`; empty when the handle was
+    // closed out from under the file.
+    std::optional<Durability> durability;
+    // The file's allocated extents (device-level daemons map them to LBAs).
+    std::span<const Extent> extents;
+  };
+
+  // Visits every live file once, in ascending id order. Each open handle is
+  // described at most once per walk. `fn` may reclassify or overwrite the
+  // visited file and may open placement handles, but must not create or
+  // delete files or close handles.
+  void ForEachFile(const std::function<void(const FileView&)>& fn) const;
 
  private:
   struct FsFile {

@@ -20,12 +20,51 @@ MigrationDaemon::MigrationDaemon(ExtentFileSystem* fs, PlacementDirectory* place
   assert(fs_ != nullptr && placements_ != nullptr && model_ != nullptr);
 }
 
+namespace {
+
+// Quiet-window horizons, longest first. A longer window skips more passes;
+// a shorter one still holds for files whose score drifts towards a threshold.
+constexpr uint32_t kQuietHorizonsDays[] = {64, 16, 4, 1};
+
+// Distance a score bound must keep from a threshold. Far above the rounding
+// error of the bound, far below any score difference a threshold resolves.
+constexpr double kQuietMargin = 1e-9;
+
+}  // namespace
+
+std::optional<SimTimeUs> MigrationDaemon::QuietUntil(const FileMeta& meta, Durability durability,
+                                                     SimTimeUs now) const {
+  const double bias = config_.type_score_bias[static_cast<size_t>(meta.type)];
+  for (const uint32_t days : kQuietHorizonsDays) {
+    const SimTimeUs until = now + DaysToUs(days);
+    double lo = 0.0;
+    double hi = 0.0;
+    if (!model_->ScoreBounds(meta, now, until, &lo, &hi)) {
+      return std::nullopt;
+    }
+    // The biased, clamped score is monotone in the raw score, so the bounds
+    // carry over. The age gate on demotion is ignored: staying below the
+    // demote threshold is enough.
+    const bool quiet =
+        durability == Durability::kCritical
+            ? std::clamp(hi + bias, 0.0, 1.0) + kQuietMargin < config_.demote_threshold
+            : !config_.allow_promotion ||
+                  std::clamp(lo + bias, 0.0, 1.0) - kQuietMargin > config_.promote_threshold;
+    if (quiet) {
+      return until;
+    }
+  }
+  return std::nullopt;
+}
+
 MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
+  assert(now >= last_run_us_);  // quiet windows only look forward in time
+  last_run_us_ = now;
   RunStats stats;
   // Re-declares a file's placement with a fresh handle of the opposite
   // durability, keeping the file's lifetime hint. The directory memoizes
   // handles per spec, so repeat verdicts reuse one slot.
-  auto reclassify = [&](uint64_t id, const FileMeta& meta, Durability durability) -> bool {
+  auto reclassify = [&](const FileMeta& meta, Durability durability) -> bool {
     PlacementSpec spec;
     spec.durability = durability;
     spec.lifetime = LifetimeHintFor(meta);
@@ -33,37 +72,53 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     if (!handle.ok()) {
       return false;
     }
-    return fs_->ReclassifyFile(id, handle.value()).ok();
+    return fs_->ReclassifyFile(meta.file_id, handle.value()).ok();
   };
-  for (uint64_t id : fs_->FileIds()) {
-    const FileMeta* meta = fs_->Lookup(id);
-    if (meta == nullptr) {
-      continue;  // deleted between listing and scan
-    }
+  std::vector<QuietFile> kept;
+  kept.reserve(quiet_.size());
+  auto cached = quiet_.cbegin();
+  fs_->ForEachFile([&](const ExtentFileSystem::FileView& file) {
+    const FileMeta& meta = file.meta;
     ++stats.scanned;
-    const double score =
-        std::clamp(model_->Score(*meta, now) +
-                       config_.type_score_bias[static_cast<size_t>(meta->type)],
-                   0.0, 1.0);
-    const auto spec = fs_->PlacementSpecOf(id);
-    if (!spec.ok()) {
-      continue;  // handle closed out from under the file: nothing safe to do
+    if (!file.durability.has_value()) {
+      return;  // handle closed out from under the file: nothing safe to do
     }
-    const Durability durability = spec.value().durability;
+    const Durability durability = *file.durability;
+    while (cached != quiet_.cend() && cached->id < meta.file_id) {
+      ++cached;
+    }
+    // The durability compare catches a handle slot closed and reopened with
+    // another spec between passes.
+    if (cached != quiet_.cend() && cached->id == meta.file_id &&
+        cached->read_count == meta.read_count && cached->write_count == meta.write_count &&
+        cached->last_accessed_us == meta.last_accessed_us &&
+        cached->handle == file.placement.id() && cached->durability == durability &&
+        now <= cached->quiet_until) {
+      kept.push_back(*cached);
+      return;
+    }
+    const double score =
+        std::clamp(model_->Score(meta, now) +
+                       config_.type_score_bias[static_cast<size_t>(meta.type)],
+                   0.0, 1.0);
     if (durability == Durability::kCritical && score >= config_.demote_threshold &&
-        now >= meta->created_us + config_.min_age_us) {
-      if (reclassify(id, *meta, Durability::kDegradable)) {
+        now >= meta.created_us + config_.min_age_us) {
+      if (reclassify(meta, Durability::kDegradable)) {
         ++stats.demoted;
       } else {
         ++stats.demote_failures;
       }
     } else if (config_.allow_promotion && durability == Durability::kDegradable &&
                score <= config_.promote_threshold) {
-      if (reclassify(id, *meta, Durability::kCritical)) {
+      if (reclassify(meta, Durability::kCritical)) {
         ++stats.promoted;
       }
+    } else if (const auto until = QuietUntil(meta, durability, now); until.has_value()) {
+      kept.push_back({meta.file_id, meta.read_count, meta.write_count, meta.last_accessed_us,
+                      *until, file.placement.id(), durability});
     }
-  }
+  });
+  quiet_ = std::move(kept);
   lifetime_.scanned += stats.scanned;
   lifetime_.demoted += stats.demoted;
   lifetime_.promoted += stats.promoted;
@@ -131,13 +186,12 @@ DegradationMonitor::RunStats DegradationMonitor::RunOnce(SimTimeUs /*now*/) {
   // risk ("SOS does not inherently rely on such redundant copies", §4.3).
   if (config_.cloud_repair) {
     Ftl& ftl = device_->ftl();
-    for (uint64_t id : fs_->FileIds()) {
-      const auto spec = fs_->PlacementSpecOf(id);
-      if (!spec.ok() || spec.value().durability != Durability::kDegradable) {
-        continue;  // only degradable data may rot; critical files stay exact
+    fs_->ForEachFile([&](const ExtentFileSystem::FileView& file) {
+      if (file.durability != Durability::kDegradable) {
+        return;  // only degradable data may rot; critical files stay exact
       }
       bool tainted = false;
-      for (const Extent& extent : fs_->ExtentsOf(id)) {
+      for (const Extent& extent : file.extents) {
         for (uint32_t i = 0; i < extent.blocks && !tainted; ++i) {
           tainted = ftl.IsTainted(extent.lba + i);
         }
@@ -146,8 +200,9 @@ DegradationMonitor::RunStats DegradationMonitor::RunOnce(SimTimeUs /*now*/) {
         }
       }
       if (!tainted) {
-        continue;
+        return;
       }
+      const uint64_t id = file.meta.file_id;
       if (cloud_ != nullptr && cloud_->Has(id)) {
         const std::vector<uint8_t> pristine = cloud_->Fetch(id);
         if (fs_->OverwriteFile(id, pristine).ok()) {
@@ -156,7 +211,7 @@ DegradationMonitor::RunStats DegradationMonitor::RunOnce(SimTimeUs /*now*/) {
       } else {
         ++stats.files_at_risk;
       }
-    }
+    });
   }
 
   lifetime_.pages_scanned += stats.pages_scanned;
@@ -206,17 +261,12 @@ AutoDeleteManager::RunStats AutoDeleteManager::RunOnce(SimTimeUs now) {
     uint64_t bytes;
   };
   std::vector<Candidate> candidates;
-  for (uint64_t id : fs_->FileIds()) {
-    const auto spec = fs_->PlacementSpecOf(id);
-    if (!spec.ok() || spec.value().durability != Durability::kDegradable) {
-      continue;
+  fs_->ForEachFile([&](const ExtentFileSystem::FileView& file) {
+    if (file.durability == Durability::kDegradable) {
+      const FileMeta& meta = file.meta;
+      candidates.push_back({meta.file_id, deletion_model_->Score(meta, now), meta.size_bytes});
     }
-    const FileMeta* meta = fs_->Lookup(id);
-    if (meta == nullptr) {
-      continue;
-    }
-    candidates.push_back({id, deletion_model_->Score(*meta, now), meta->size_bytes});
-  }
+  });
   std::sort(candidates.begin(), candidates.end(), [](const Candidate& a, const Candidate& b) {
     return a.score > b.score;
   });

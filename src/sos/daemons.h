@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -70,17 +71,48 @@ class MigrationDaemon {
   MigrationDaemon(ExtentFileSystem* fs, PlacementDirectory* placements,
                   const BinaryClassifier* model, const MigrationDaemonConfig& config);
 
-  // One periodic review pass at simulated time `now`.
+  // One periodic review pass at simulated time `now`, which must not
+  // decrease from one pass to the next. Every verdict equals a full scan's;
+  // files whose score provably cannot cross a threshold are counted in
+  // `scanned` without being scored again (see QuietFile).
   RunStats RunOnce(SimTimeUs now);
+
+  // Forgets every quiet window. Call whenever the model's parameters change
+  // in place (periodic retraining): the windows were bounded under the old
+  // parameters.
+  void InvalidateVerdicts() { quiet_.clear(); }
 
   const RunStats& lifetime_stats() const { return lifetime_; }
 
  private:
+  // A file that was scored and left alone, and whose score the model bounds
+  // on its no-action side until `quiet_until` as long as nothing the score
+  // or the verdict reads changes. A pass that finds these fields unchanged
+  // skips the file until then.
+  struct QuietFile {
+    uint64_t id = 0;
+    uint32_t read_count = 0;
+    uint32_t write_count = 0;
+    SimTimeUs last_accessed_us = 0;
+    SimTimeUs quiet_until = 0;
+    uint32_t handle = PlacementHandle::kInvalidId;
+    Durability durability = Durability::kCritical;
+  };
+
+  // End of the longest fixed horizon from `now` over which `meta`, held
+  // under `durability`, stays on its no-action side; empty if none does.
+  std::optional<SimTimeUs> QuietUntil(const FileMeta& meta, Durability durability,
+                                      SimTimeUs now) const;
+
   ExtentFileSystem* fs_;
   PlacementDirectory* placements_;
   const BinaryClassifier* model_;
   MigrationDaemonConfig config_;
   RunStats lifetime_;
+  // Quiet windows of live files, sorted by id: rebuilt by each in-order
+  // walk, so deleted files drop out.
+  std::vector<QuietFile> quiet_;
+  SimTimeUs last_run_us_ = 0;
 };
 
 // ---------------------------------------------------------------------------

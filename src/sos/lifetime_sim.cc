@@ -304,6 +304,9 @@ void LifetimeSim::RunDaemons(uint32_t day) {
     if (files.size() >= 200) {
       *priority_model_ = LogisticClassifier::Train(files, &ExpendableLabel, clock_.now());
       *deletion_model_ = LogisticClassifier::Train(files, &DeletionLabel, clock_.now());
+      if (migration_ != nullptr) {
+        migration_->InvalidateVerdicts();
+      }
       ++result_.retrainings_;
     }
   }

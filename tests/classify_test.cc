@@ -266,6 +266,42 @@ TEST(ModelsTest, TrainingIsDeterministic) {
   EXPECT_EQ(a.bias(), b.bias());
 }
 
+TEST(ModelsTest, LogisticScoreBoundsContainScore) {
+  const auto m = TrainedModels::Make();
+  Rng rng(91);
+  for (size_t i = 0; i < m.corpus.size(); i += 11) {
+    FileMeta meta = m.corpus[i];
+    // Vary the access history so recency and rates move independently.
+    meta.read_count = static_cast<uint32_t>(rng.NextBounded(200));
+    meta.write_count = static_cast<uint32_t>(rng.NextBounded(50));
+    meta.last_accessed_us = meta.created_us + rng.NextBounded(kUsPerYear);
+    // Windows start before creation, between creation and last access, or
+    // later, and last from an hour to a hundred days.
+    const SimTimeUs t0 = rng.NextBounded(meta.last_accessed_us + kUsPerYear);
+    const SimTimeUs t1 = t0 + kUsPerHour + rng.NextBounded(100 * kUsPerDay);
+    double lo = 0.0;
+    double hi = 0.0;
+    ASSERT_TRUE(m.logistic.ScoreBounds(meta, t0, t1, &lo, &hi));
+    ASSERT_LE(lo, hi);
+    constexpr int kInterior = 16;
+    for (int k = 0; k <= kInterior + 1; ++k) {
+      const SimTimeUs t =
+          t0 + (t1 - t0) * static_cast<SimTimeUs>(k) / static_cast<SimTimeUs>(kInterior + 1);
+      const double score = m.logistic.Score(meta, t);
+      EXPECT_GE(score, lo) << "file " << i << " t " << t;
+      EXPECT_LE(score, hi) << "file " << i << " t " << t;
+    }
+  }
+}
+
+TEST(ModelsTest, ModelsWithoutBoundsSayNo) {
+  const auto m = TrainedModels::Make();
+  double lo = 0.0;
+  double hi = 0.0;
+  EXPECT_FALSE(m.nb.ScoreBounds(m.corpus[0], 0, kUsPerDay, &lo, &hi));
+  EXPECT_FALSE(m.rules.ScoreBounds(m.corpus[0], 0, kUsPerDay, &lo, &hi));
+}
+
 TEST(ModelsTest, BoostedStumpsCompetitive) {
   const auto m = TrainedModels::Make();
   const BoostedStumpsClassifier stumps =

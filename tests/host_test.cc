@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/common/units.h"
 #include "src/flash/fault_hook.h"
 #include "src/host/file_system.h"
@@ -182,7 +185,34 @@ TEST(FileSystemTest, ScanFilesSeesAll) {
     ASSERT_TRUE(f.fs.CreateFile(PhotoMeta(512), Content(512, 1), f.critical).ok());
   }
   EXPECT_EQ(f.fs.ScanFiles().size(), 5u);
-  EXPECT_EQ(f.fs.FileIds().size(), 5u);
+  std::vector<uint64_t> ids;
+  f.fs.ForEachFile([&](const ExtentFileSystem::FileView& file) {
+    ids.push_back(file.meta.file_id);
+    EXPECT_EQ(file.placement, f.critical);
+    EXPECT_EQ(file.durability, Durability::kCritical);
+    EXPECT_EQ(file.extents.size(), 1u);
+  });
+  EXPECT_EQ(ids, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+}
+
+TEST(FileSystemTest, ForEachFileSeesHandlesOpenedMidWalk) {
+  // Two files hold a handle that gets closed. The walk reports the first as
+  // having no durability; a handle opened in the callback reuses the slot,
+  // so the second file's (now aliased) handle describes as the new spec.
+  FsFixture f;
+  const PlacementHandle stale = f.device.OpenPlacement({Durability::kCritical}).value();
+  const uint64_t a = f.fs.CreateFile(PhotoMeta(512), Content(512, 1), stale).value();
+  const uint64_t b = f.fs.CreateFile(PhotoMeta(512), Content(512, 2), stale).value();
+  ASSERT_TRUE(f.device.ClosePlacement(stale).ok());
+  std::vector<std::optional<Durability>> seen;
+  f.fs.ForEachFile([&](const ExtentFileSystem::FileView& file) {
+    seen.push_back(file.durability);
+    if (file.meta.file_id == a) {
+      EXPECT_EQ(f.device.OpenPlacement({Durability::kDegradable}).value(), stale);
+    }
+  });
+  ASSERT_EQ(b, a + 1);
+  EXPECT_EQ(seen, (std::vector<std::optional<Durability>>{std::nullopt, Durability::kDegradable}));
 }
 
 // --- Degraded reads at the device boundary ----------------------------------
