@@ -12,9 +12,9 @@ namespace sos::serve {
 // --- InProcessClient --------------------------------------------------------
 
 ServeResponse InProcessClient::Roundtrip(ServeRequest req) {
-  std::future<ServeResponse> future = service_->Submit(std::move(req));
-  service_->RunPending();  // drives pump mode; no-op with workers
-  return future.get();
+  std::vector<ServeRequest> reqs;
+  reqs.push_back(std::move(req));
+  return std::move(service_->Call(std::move(reqs)).front());
 }
 
 Result<PlacementHandle> InProcessClient::OpenPlacement(const PlacementSpec& spec) {
@@ -63,20 +63,11 @@ Result<BlockReadResult> InProcessClient::Read(uint64_t lba, PlacementHandle hint
 
 Result<std::vector<BlockReadResult>> InProcessClient::ReadBatch(uint64_t lba, uint32_t count,
                                                                 PlacementHandle hint) {
-  std::vector<std::future<ServeResponse>> futures;
-  futures.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ServeRequest req;
-    req.op = ServeOp::kRead;
-    req.lba = lba + i;
-    req.handle = hint;
-    futures.push_back(service_->Submit(std::move(req)));
-  }
-  service_->RunPending();
+  std::vector<ServeResponse> resps =
+      service_->Call(PerBlockRequests(ServeOp::kRead, lba, count, hint));
   std::vector<BlockReadResult> results;
   results.reserve(count);
-  for (std::future<ServeResponse>& f : futures) {
-    ServeResponse resp = f.get();
+  for (ServeResponse& resp : resps) {
     if (!resp.status.ok()) {
       return resp.status;
     }

@@ -4,7 +4,9 @@
 //
 // BlockServiceClient is the synchronous client contract; two transports
 // implement it:
-//   InProcessClient -- wraps an AsyncBlockService directly (Submit + wait).
+//   InProcessClient -- wraps an AsyncBlockService directly: every operation
+//                      is one Call(), so the calling thread dispatches its
+//                      own request in pump and async mode alike.
 //   SocketClient    -- speaks the sosd wire protocol (wire.h) over a
 //                      connected byte-stream fd, one outstanding request at
 //                      a time.
@@ -66,7 +68,7 @@ class InProcessClient final : public BlockServiceClient {
   AsyncBlockService* service() { return service_; }
 
  private:
-  // Submits and waits, pumping inline when the service is in pump mode.
+  // One request through AsyncBlockService::Call().
   ServeResponse Roundtrip(ServeRequest req);
 
   AsyncBlockService* const service_;

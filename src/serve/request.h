@@ -84,6 +84,20 @@ struct ServeRequest {
   PlacementHandle handle;
 };
 
+// `count` requests of `op` under `handle` at consecutive LBAs from `lba`:
+// how a multi-block frame or ReadBatch fans out into per-block requests,
+// which the service's coalescer merges back into device batches.
+inline std::vector<ServeRequest> PerBlockRequests(ServeOp op, uint64_t lba, uint32_t count,
+                                                  PlacementHandle handle) {
+  std::vector<ServeRequest> reqs(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    reqs[i].op = op;
+    reqs[i].lba = lba + i;
+    reqs[i].handle = handle;
+  }
+  return reqs;
+}
+
 // The completion a client's future resolves to.
 struct ServeResponse {
   Status status;
@@ -98,11 +112,18 @@ struct ServeResponse {
   SimTimeUs complete_sim_us = 0;
 };
 
+// The caller side of one AsyncBlockService::Call (defined in service.cc).
+struct CallState;
+
 // A request in flight inside the service: the scheduler's unit of work.
-// Move-only (it owns the promise side of the client's future).
+// Move-only. A Submit() request owns the promise side of the client's
+// future; a Call() request instead points at its caller's CallState and the
+// slot its response goes to.
 struct Pending {
   ServeRequest req;
   std::promise<ServeResponse> promise;
+  CallState* call = nullptr;
+  size_t slot = 0;
   QosClass cls = QosClass::kBulk;
   uint64_t seq = 0;  // admission order; the QoS-off FIFO key
   SimTimeUs submit_sim_us = 0;

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <list>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -72,9 +73,7 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
       ServeRequest req;
       req.op = ServeOp::kDescribePlacement;
       req.handle = PlacementHandle(frame.handle_slot);
-      auto future = service_->Submit(std::move(req));
-      service_->RunPending();
-      ServeResponse resp = future.get();
+      const ServeResponse resp = std::move(service_->Call({req}).front());
       reply.status = resp.status.code();
       if (resp.status.ok()) {
         reply.payload = EncodeSpec(resp.spec);
@@ -82,20 +81,10 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
       break;
     }
     case FrameType::kRead: {
-      // Fan out per block; the service coalesces adjacent submissions back
-      // into one device ReadBatch.
-      std::vector<std::future<ServeResponse>> futures;
-      futures.reserve(frame.count);
-      for (uint32_t i = 0; i < frame.count; ++i) {
-        ServeRequest req;
-        req.op = ServeOp::kRead;
-        req.lba = frame.lba + i;
-        req.handle = PlacementHandle(frame.handle_slot);
-        futures.push_back(service_->Submit(std::move(req)));
-      }
-      service_->RunPending();  // no-op in async mode; drives pump mode
-      for (std::future<ServeResponse>& f : futures) {
-        ServeResponse resp = f.get();
+      // Fan out per block; the service coalesces adjacent requests back into
+      // one device ReadBatch.
+      for (const ServeResponse& resp : service_->Call(PerBlockRequests(
+               ServeOp::kRead, frame.lba, frame.count, PlacementHandle(frame.handle_slot)))) {
         if (!resp.status.ok() && reply.status == StatusCode::kOk) {
           reply.status = resp.status.code();
         }
@@ -113,20 +102,13 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
         return false;
       }
       const size_t page = frame.payload.size() / frame.count;
-      std::vector<std::future<ServeResponse>> futures;
-      futures.reserve(frame.count);
-      for (uint32_t i = 0; i < frame.count; ++i) {
-        ServeRequest req;
-        req.op = ServeOp::kWrite;
-        req.lba = frame.lba + i;
-        req.handle = PlacementHandle(frame.handle_slot);
-        req.data.assign(frame.payload.begin() + static_cast<std::ptrdiff_t>(i * page),
-                        frame.payload.begin() + static_cast<std::ptrdiff_t>((i + 1) * page));
-        futures.push_back(service_->Submit(std::move(req)));
+      std::vector<ServeRequest> reqs = PerBlockRequests(ServeOp::kWrite, frame.lba, frame.count,
+                                                        PlacementHandle(frame.handle_slot));
+      for (size_t i = 0; i < reqs.size(); ++i) {
+        reqs[i].data.assign(frame.payload.begin() + static_cast<std::ptrdiff_t>(i * page),
+                            frame.payload.begin() + static_cast<std::ptrdiff_t>((i + 1) * page));
       }
-      service_->RunPending();
-      for (std::future<ServeResponse>& f : futures) {
-        ServeResponse resp = f.get();
+      for (const ServeResponse& resp : service_->Call(std::move(reqs))) {
         if (!resp.status.ok() && reply.status == StatusCode::kOk) {
           reply.status = resp.status.code();
         }
@@ -138,9 +120,7 @@ bool SosdServer::HandleFrame(const Frame& frame, std::vector<uint8_t>* reply_byt
       ServeRequest req;
       req.op = frame.type == FrameType::kTrim ? ServeOp::kTrim : ServeOp::kFlush;
       req.lba = frame.lba;
-      auto future = service_->Submit(std::move(req));
-      service_->RunPending();
-      reply.status = future.get().status.code();
+      reply.status = service_->Call({req}).front().status.code();
       break;
     }
   }
@@ -189,8 +169,27 @@ uint64_t SosdServer::ServeConnection(int fd) {
 }
 
 void SosdServer::ServeListener(int listen_fd, const std::atomic<bool>& stop) {
-  std::vector<std::thread> connections;
+  // The listener owns each connection's fd and closes it only after joining
+  // the thread, so the shutdown() below can never hit a recycled descriptor.
+  struct Connection {
+    int fd = -1;
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Connection> connections;  // stable addresses: threads hold &conn
+  const auto reap = [&connections](bool all) {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (!all && !it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      ::close(it->fd);
+      it = connections.erase(it);
+    }
+  };
   while (!stop.load(std::memory_order_relaxed)) {
+    reap(/*all=*/false);  // a long-running daemon must not pile up dead threads
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
     if (ready < 0 && errno != EINTR) {
@@ -206,14 +205,20 @@ void SosdServer::ServeListener(int listen_fd, const std::atomic<bool>& stop) {
       }
       break;
     }
-    connections.emplace_back([this, fd] {
-      ServeConnection(fd);
-      ::close(fd);
+    Connection& conn = connections.emplace_back();
+    conn.fd = fd;
+    conn.thread = std::thread([this, &conn] {
+      ServeConnection(conn.fd);
+      ::shutdown(conn.fd, SHUT_RDWR);  // the peer sees EOF now, not at the join
+      conn.done.store(true, std::memory_order_release);
     });
   }
-  for (std::thread& t : connections) {
-    t.join();
+  // Ending the read side wakes threads blocked in read() on idle clients;
+  // a request already being handled still gets its reply written.
+  for (Connection& conn : connections) {
+    ::shutdown(conn.fd, SHUT_RD);
   }
+  reap(/*all=*/true);
 }
 
 }  // namespace sos::serve

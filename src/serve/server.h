@@ -3,14 +3,16 @@
 // SosdServer: speaks the sosd wire protocol (wire.h) on byte-stream file
 // descriptors and forwards requests into an AsyncBlockService.
 //
-// One connection = one blocking parse/submit/reply loop (ServeConnection),
+// One connection = one blocking parse/call/reply loop (ServeConnection),
 // usable directly on a socketpair end in tests. tools/sosd adds the listening
 // socket and runs ServeConnection on a thread per accepted client
 // (ServeListener). Frame handling:
 //
-//   - multi-count reads/writes fan out into per-block submissions (which the
-//     service's coalescer merges back into device batches); the reply
-//     aggregates payloads and reports the first non-ok status;
+//   - every data frame is one AsyncBlockService::Call(), so the connection
+//     thread dispatches its own request; multi-count reads/writes fan out
+//     into per-block requests (which the service's coalescer merges back
+//     into device batches); the reply aggregates payloads and reports the
+//     first non-ok status;
 //   - placement lifecycle frames run synchronously on the service's control
 //     plane;
 //   - a malformed frame gets one kInvalidArgument error reply (type kRead,
@@ -39,8 +41,10 @@ class SosdServer {
   uint64_t ServeConnection(int fd);
 
   // Accept loop for a listening socket: spawns a thread per connection and
-  // polls `stop` between accepts. Returns when `stop` becomes true or the
-  // listening socket fails. Joins all connection threads before returning.
+  // polls `stop` between accepts, joining connection threads as their peers
+  // disconnect. Returns when `stop` becomes true or the listening socket
+  // fails: it then shuts down the read side of every open connection, so
+  // idle clients cannot hold it up, and joins all connection threads.
   void ServeListener(int listen_fd, const std::atomic<bool>& stop);
 
   AsyncBlockService* service() { return service_; }

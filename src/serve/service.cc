@@ -6,6 +6,17 @@
 
 namespace sos::serve {
 
+// The caller side of one Call(): responses land in `resps` instead of in
+// promises. Every field is guarded by the service mutex.
+struct CallState {
+  explicit CallState(size_t n) : resps(n) {}
+
+  std::vector<ServeResponse> resps;
+  size_t queued = 0;       // own requests still in the scheduler
+  size_t undelivered = 0;  // own requests admitted but not yet delivered
+  std::condition_variable done_cv;
+};
+
 AsyncBlockService::AsyncBlockService(SosDevice* device, SimClock* clock,
                                      const ServeConfig& config)
     : device_(device),
@@ -14,8 +25,6 @@ AsyncBlockService::AsyncBlockService(SosDevice* device, SimClock* clock,
       scheduler_(config.qos, config.weights),
       sim_now_us_(clock->now()) {
   if (config_.workers > 0) {
-    completions_ = std::make_unique<BoundedQueue<Completion>>(config_.submission_depth);
-    completion_thread_ = std::thread([this] { CompletionLoop(); });
     pool_ = std::make_unique<ThreadPool>(config_.workers);
     worker_futures_.reserve(config_.workers);
     for (size_t i = 0; i < config_.workers; ++i) {
@@ -69,6 +78,43 @@ QosClass AsyncBlockService::Classify(const ServeRequest& req) const {
   return req.op == ServeOp::kRead ? QosClass::kSysRead : QosClass::kSysWrite;
 }
 
+std::vector<ServeResponse> AsyncBlockService::Call(std::vector<ServeRequest> reqs) {
+  CallState call(reqs.size());
+  std::unique_lock<std::mutex> lock(mu_);
+  for (size_t i = 0; i < reqs.size(); ++i) {
+    Pending pending;
+    pending.req = std::move(reqs[i]);
+    pending.cls = Classify(pending.req);
+    // Make room by dispatching inline rather than waiting for someone else
+    // to: this thread may be the only dispatcher there is.
+    while (!stopping_ && !scheduler_.HasRoom(pending.cls, config_.submission_depth) &&
+           DispatchOne(lock) > 0) {
+    }
+    if (stopping_) {
+      ++stats_.rejected;
+      call.resps[i].status = Status(StatusCode::kUnavailable, "service is shutting down");
+      call.resps[i].cls = pending.cls;
+      continue;
+    }
+    pending.seq = seq_++;
+    pending.submit_sim_us = sim_now_us_.load(std::memory_order_relaxed);
+    pending.call = &call;
+    pending.slot = i;
+    ++stats_.submitted;
+    ++call.queued;
+    ++call.undelivered;
+    scheduler_.Enqueue(std::move(pending));
+  }
+  // No stranding: a request of ours leaves the scheduler only when some
+  // dispatcher pops it, and that dispatcher delivers it. So dispatch until
+  // none is left queued, then wait out the ones others are executing.
+  while (call.queued > 0) {
+    DispatchOne(lock);
+  }
+  call.done_cv.wait(lock, [&call] { return call.undelivered == 0; });
+  return std::move(call.resps);
+}
+
 std::future<ServeResponse> AsyncBlockService::Submit(ServeRequest req) {
   std::promise<ServeResponse> promise;
   std::future<ServeResponse> future = promise.get_future();
@@ -81,10 +127,8 @@ std::future<ServeResponse> AsyncBlockService::Submit(ServeRequest req) {
   if (config_.workers == 0) {
     // Pump mode is single-caller: blocking on space would deadlock, so make
     // room by dispatching inline instead.
-    while (!stopping_ && !scheduler_.HasRoom(pending.cls, config_.submission_depth)) {
-      lock.unlock();
-      RunPending(1);
-      lock.lock();
+    while (!stopping_ && !scheduler_.HasRoom(pending.cls, config_.submission_depth) &&
+           DispatchOne(lock) > 0) {
     }
   } else {
     space_cv_.wait(lock, [&] {
@@ -130,7 +174,25 @@ bool AsyncBlockService::PopBatchLocked(Batch* batch) {
       batch->reqs.push_back(std::move(*next));
     }
   }
+  for (const Pending& p : batch->reqs) {
+    if (p.call != nullptr) {
+      --p.call->queued;
+    }
+  }
   return true;
+}
+
+size_t AsyncBlockService::DispatchOne(std::unique_lock<std::mutex>& lock) {
+  Batch batch;
+  if (!PopBatchLocked(&batch)) {
+    return 0;
+  }
+  const size_t n = batch.reqs.size();
+  lock.unlock();
+  space_cv_.notify_all();
+  ExecuteBatch(std::move(batch));
+  lock.lock();
+  return n;
 }
 
 void AsyncBlockService::ExecuteBatch(Batch batch) {
@@ -206,69 +268,51 @@ void AsyncBlockService::ExecuteBatch(Batch batch) {
   sim_now_us_.store(now, std::memory_order_relaxed);
   gate.unlock();
 
+  // Deliver inline, one mu_ section for the whole batch. A Call() slot is
+  // filled and its owner notified under mu_, because the owner's CallState
+  // dies as soon as it sees undelivered == 0; promises are set after.
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.batches;
     stats_.coalesced += n - 1;
-  }
-
-  for (size_t i = 0; i < n; ++i) {
-    Completion completion;
-    Pending& p = batch.reqs[i];
-    completion.promise = std::move(p.promise);
-    completion.resp = std::move(resps[i]);
-    completion.resp.cls = p.cls;
-    completion.resp.submit_sim_us = p.submit_sim_us;
-    completion.resp.complete_sim_us = now;
-    if (completions_ != nullptr) {
-      // The R8-sanctioned hand-off: the queue is internally synchronized;
-      // the drain thread resolves the future. Push only fails after Shutdown,
-      // which Shutdown orders strictly after every worker has exited.
-      if (completions_->Push(std::move(completion)).ok()) {
-        continue;
+    for (size_t i = 0; i < n; ++i) {
+      Pending& p = batch.reqs[i];
+      ServeResponse& resp = resps[i];
+      resp.cls = p.cls;
+      resp.submit_sim_us = p.submit_sim_us;
+      resp.complete_sim_us = now;
+      const uint32_t c = static_cast<uint32_t>(p.cls);
+      ++stats_.completed;
+      ++stats_.per_class[c].completed;
+      if (!resp.status.ok()) {
+        ++stats_.per_class[c].errors;
+      }
+      latency_us_[c].Add(static_cast<double>(now - p.submit_sim_us));
+      if (p.call != nullptr) {
+        p.call->resps[p.slot] = std::move(resp);
+        if (--p.call->undelivered == 0) {
+          p.call->done_cv.notify_one();
+        }
       }
     }
-    DeliverCompletion(std::move(completion));
-  }
-}
-
-void AsyncBlockService::DeliverCompletion(Completion completion) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const uint32_t c = static_cast<uint32_t>(completion.resp.cls);
-    ++stats_.completed;
-    ++stats_.per_class[c].completed;
-    if (!completion.resp.status.ok()) {
-      ++stats_.per_class[c].errors;
+    if (stats_.completed >= stats_.submitted) {
+      idle_cv_.notify_all();
     }
-    latency_us_[c].Add(
-        static_cast<double>(completion.resp.complete_sim_us - completion.resp.submit_sim_us));
   }
-  idle_cv_.notify_all();
-  completion.promise.set_value(std::move(completion.resp));
+  for (size_t i = 0; i < n; ++i) {
+    if (batch.reqs[i].call == nullptr) {
+      batch.reqs[i].promise.set_value(std::move(resps[i]));
+    }
+  }
 }
 
 void AsyncBlockService::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Batch batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stopping_ || !scheduler_.empty(); });
-      if (!PopBatchLocked(&batch)) {
-        if (stopping_) {
-          return;
-        }
-        continue;
-      }
+    work_cv_.wait(lock, [this] { return stopping_ || !scheduler_.empty(); });
+    if (DispatchOne(lock) == 0 && stopping_) {
+      return;
     }
-    space_cv_.notify_all();
-    ExecuteBatch(std::move(batch));
-  }
-}
-
-void AsyncBlockService::CompletionLoop() {
-  while (std::optional<Completion> completion = completions_->Pop()) {
-    DeliverCompletion(std::move(*completion));
   }
 }
 
@@ -277,16 +321,13 @@ size_t AsyncBlockService::RunPending(size_t max_batches) {
     return 0;  // async mode dispatches itself
   }
   size_t completed = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (size_t b = 0; b < max_batches; ++b) {
-    Batch batch;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!PopBatchLocked(&batch)) {
-        break;
-      }
+    const size_t ran = DispatchOne(lock);
+    if (ran == 0) {
+      break;
     }
-    completed += batch.reqs.size();
-    ExecuteBatch(std::move(batch));
+    completed += ran;
   }
   return completed;
 }
@@ -315,8 +356,6 @@ void AsyncBlockService::Shutdown() {
       worker.get();
     }
     pool_->Shutdown();
-    completions_->Shutdown();
-    completion_thread_.join();
   }
 }
 

@@ -2,8 +2,9 @@
 //
 // Concurrent-client stress harness for AsyncBlockService (the sosd
 // verification co-headline): N >= 8 client threads drive seeded op streams
-// against one service in async mode (4 workers, QoS on), each over a
-// disjoint LBA range, with a per-thread oracle of acked writes.
+// against one service in async mode (QoS on), each over a disjoint LBA
+// range, with a per-thread oracle of acked writes. Clients reach the
+// service through Submit() futures, through caller-runs Call(), or a mix.
 //
 // Checked properties:
 //   - per-LBA read-your-writes: after a write's future resolves ok, every
@@ -14,7 +15,8 @@
 //     write in every thread's oracle reads back byte-exact;
 //   - trim semantics: an acked trim makes the LBA kNotFound until rewritten;
 //   - accounting: completed == submitted, responses never vanish, and a
-//     Shutdown() racing in-flight submissions resolves every future.
+//     Shutdown() racing in-flight submissions or Calls answers every
+//     request.
 //
 // The suite is run under TSan in CI (serve-smoke): the assertions prove
 // linearizable per-LBA behavior, TSan proves the implementation gets there
@@ -65,21 +67,46 @@ struct ClientOutcome {
   uint64_t failed_writes = 0;
 };
 
+// How a client thread reaches the service.
+enum class Transport {
+  kSubmit,  // Submit() + future.get(): dispatch is left to the workers
+  kCall,    // Call(): the client thread dispatches its own requests
+};
+
+// Runs `reqs` to completion over `transport`; responses in request order.
+std::vector<ServeResponse> Issue(AsyncBlockService* service, Transport transport,
+                                 std::vector<ServeRequest> reqs) {
+  if (transport == Transport::kCall) {
+    return service->Call(std::move(reqs));
+  }
+  std::vector<std::future<ServeResponse>> futures;
+  futures.reserve(reqs.size());
+  for (ServeRequest& req : reqs) {
+    futures.push_back(service->Submit(std::move(req)));
+  }
+  std::vector<ServeResponse> resps;
+  resps.reserve(futures.size());
+  for (std::future<ServeResponse>& f : futures) {
+    resps.push_back(f.get());
+  }
+  return resps;
+}
+
 // One client thread's seeded op stream. Thread t owns LBAs
 // [t*range, (t+1)*range); critical threads exercise SYS, bulk threads the
 // degradable path, creating cross-class QoS pressure.
-ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool critical,
-                        uint64_t lba_base, uint64_t range, uint64_t seed) {
+ClientOutcome RunClient(AsyncBlockService* service, Transport transport, PlacementHandle handle,
+                        bool critical, uint64_t lba_base, uint64_t range, uint64_t seed) {
   Rng rng(DeriveSeed({seed, lba_base, 0x73727673ull /* "srvs" */}));
   ClientOutcome out;
   std::map<uint64_t, uint32_t> version;
 
   for (int round = 0; round < 12; ++round) {
-    // Burst of async writes to distinct LBAs, then wait for all acks. The
-    // future-wait establishes the happens-before edge read-your-writes is
-    // then checked against.
+    // Burst of writes to distinct LBAs, then wait for all acks. The ack
+    // establishes the happens-before edge read-your-writes is then checked
+    // against.
     std::vector<std::pair<uint64_t, uint32_t>> issued;
-    std::vector<std::future<ServeResponse>> futures;
+    std::vector<ServeRequest> writes;
     std::set<uint64_t> used;
     for (int w = 0; w < 6; ++w) {
       const uint64_t lba = lba_base + rng.NextBounded(range);
@@ -93,11 +120,12 @@ ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool
       req.data = FillPage(lba, v);
       req.handle = handle;
       issued.emplace_back(lba, v);
-      futures.push_back(service->Submit(std::move(req)));
+      writes.push_back(std::move(req));
       ++out.ops;
     }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      const ServeResponse resp = futures[i].get();
+    const std::vector<ServeResponse> acks = Issue(service, transport, std::move(writes));
+    for (size_t i = 0; i < acks.size(); ++i) {
+      const ServeResponse& resp = acks[i];
       const uint64_t lba = issued[i].first;
       if (resp.status.ok()) {
         out.oracle[lba] = issued[i].second;
@@ -115,7 +143,7 @@ ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool
       ServeRequest req;
       req.op = ServeOp::kTrim;
       req.lba = lba;
-      const ServeResponse resp = service->Submit(std::move(req)).get();
+      const ServeResponse resp = Issue(service, transport, {req}).front();
       ++out.ops;
       if (resp.status.ok()) {
         out.oracle.erase(lba);
@@ -130,7 +158,7 @@ ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool
       req.op = ServeOp::kRead;
       req.lba = lba;
       req.handle = handle;
-      const ServeResponse resp = service->Submit(std::move(req)).get();
+      const ServeResponse resp = Issue(service, transport, {req}).front();
       ++out.ops;
       if (out.uncertain.contains(lba)) {
         continue;  // last write failed; content unspecified
@@ -153,15 +181,16 @@ ClientOutcome RunClient(AsyncBlockService* service, PlacementHandle handle, bool
   return out;
 }
 
-TEST(ServeStressTest, ConcurrentClientsKeepReadYourWrites) {
+// Eight concurrent oracle clients against one async-mode service; client t
+// reaches it over transport_of(t). Checks every client's read-your-writes
+// stream, then audits every acked write and the accounting.
+void RunOracleClients(const ServeConfig& config, uint64_t seed,
+                      Transport (*transport_of)(size_t client)) {
   constexpr size_t kClients = 8;
   constexpr uint64_t kRange = 20;
 
   SimClock clock;
-  SosDevice device(StressDeviceConfig(31), &clock);
-  ServeConfig config;
-  config.workers = 4;
-  config.qos = true;
+  SosDevice device(StressDeviceConfig(seed), &clock);
   AsyncBlockService service(&device, &clock, config);
 
   // Six critical (SYS) clients + two bulk (degradable) clients for QoS
@@ -182,8 +211,8 @@ TEST(ServeStressTest, ConcurrentClientsKeepReadYourWrites) {
   clients.reserve(kClients);
   for (size_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
-      outcomes[t] = RunClient(&service, handles[t], critical[t], t * kRange, kRange,
-                              /*seed=*/31);
+      outcomes[t] = RunClient(&service, transport_of(t), handles[t], critical[t], t * kRange,
+                              kRange, seed);
     });
   }
   for (std::thread& c : clients) {
@@ -227,6 +256,28 @@ TEST(ServeStressTest, ConcurrentClientsKeepReadYourWrites) {
   EXPECT_GT(stats.per_class[static_cast<int>(QosClass::kBulk)].completed, 0u);
 }
 
+TEST(ServeStressTest, ConcurrentClientsKeepReadYourWrites) {
+  ServeConfig config;
+  config.workers = 4;
+  config.qos = true;
+  RunOracleClients(config, /*seed=*/31, [](size_t) { return Transport::kSubmit; });
+}
+
+TEST(ServeStressTest, CallAndSubmitClientsShareAFullQueue) {
+  // Half the clients dispatch for themselves through Call(), half leave it
+  // to two workers. A depth of 4 is smaller than a write burst, so both
+  // admission-full paths run constantly: Call() makes room by dispatching
+  // inline -- possibly the Submit() clients' requests -- while Submit()
+  // blocks until a worker or a Call() thread frees a slot.
+  ServeConfig config;
+  config.workers = 2;
+  config.submission_depth = 4;
+  config.qos = true;
+  RunOracleClients(config, /*seed=*/33, [](size_t client) {
+    return client % 2 == 0 ? Transport::kCall : Transport::kSubmit;
+  });
+}
+
 TEST(ServeStressTest, ShutdownRacingSubmissionsResolvesEveryFuture) {
   SimClock clock;
   SosDevice device(StressDeviceConfig(32), &clock);
@@ -267,6 +318,59 @@ TEST(ServeStressTest, ShutdownRacingSubmissionsResolvesEveryFuture) {
   }
   const ServeStats stats = service.Stats();
   EXPECT_EQ(stats.completed, stats.submitted);
+}
+
+TEST(ServeStressTest, ShutdownRacingCallsReturnsEveryResponse) {
+  SimClock clock;
+  SosDevice device(StressDeviceConfig(34), &clock);
+  ServeConfig config;
+  config.workers = 2;
+  AsyncBlockService service(&device, &clock, config);
+  auto handle = service.OpenPlacement({Durability::kCritical});
+  ASSERT_TRUE(handle.ok());
+
+  // Each caller issues 25 two-request Calls (a write and a read); a Call
+  // admitted before shutdown runs to completion, later ones are refused.
+  std::vector<std::thread> callers;
+  std::vector<std::vector<ServeResponse>> responses(4);
+  for (size_t t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (int i = 0; i < 25; ++i) {
+        std::vector<ServeRequest> reqs(2);
+        reqs[0].op = ServeOp::kWrite;
+        reqs[1].op = ServeOp::kRead;
+        for (ServeRequest& req : reqs) {
+          req.lba = static_cast<uint64_t>(t) * 64 + static_cast<uint64_t>(i);
+          req.handle = handle.value();
+        }
+        reqs[0].data = FillPage(reqs[0].lba, 1);
+        for (ServeResponse& resp : service.Call(std::move(reqs))) {
+          responses[t].push_back(std::move(resp));
+        }
+      }
+    });
+  }
+  service.Shutdown();  // races the callers on purpose
+  for (std::thread& c : callers) {
+    c.join();
+  }
+  // Every request gets a response -- a real one or a clean rejection.
+  uint64_t rejected = 0;
+  for (const auto& thread_responses : responses) {
+    ASSERT_EQ(thread_responses.size(), 50u);
+    for (const ServeResponse& resp : thread_responses) {
+      EXPECT_TRUE(resp.status.ok() || resp.status.code() == StatusCode::kUnavailable ||
+                  resp.status.code() == StatusCode::kNotFound)
+          << resp.status.ToString();
+      if (resp.status.code() == StatusCode::kUnavailable) {
+        ++rejected;
+      }
+    }
+  }
+  const ServeStats stats = service.Stats();
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.rejected, rejected);
+  EXPECT_EQ(stats.submitted + stats.rejected, 200u);
 }
 
 }  // namespace

@@ -1,19 +1,26 @@
 // Copyright (c) 2026 The SOS Authors. MIT License.
 //
 // Unit and conformance tests for the serve layer (DESIGN.md §14): the
-// BoundedQueue hand-off channel, the weighted QoS scheduler, the sosd wire
-// protocol (round-trip, malformed-input and fuzz conformance), and the
-// AsyncBlockService in deterministic pump mode -- including the
-// batch-vs-serial equivalence the coalescer must preserve. The concurrent
-// harness lives in serve_stress_test.cc.
+// weighted QoS scheduler, the sosd wire protocol (round-trip,
+// malformed-input and fuzz conformance), the AsyncBlockService in
+// deterministic pump mode -- including the batch-vs-serial equivalence the
+// coalescer must preserve -- and the sosd accept loop's thread lifecycle.
+// The concurrent harness lives in serve_stress_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <future>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "src/common/rng.h"
-#include "src/serve/bounded_queue.h"
 #include "src/serve/client.h"
 #include "src/serve/qos.h"
 #include "src/serve/server.h"
@@ -21,53 +28,13 @@
 #include "src/serve/wire.h"
 #include "src/sos/sos_device.h"
 
+#include <malloc.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 namespace sos::serve {
 namespace {
-
-// --- BoundedQueue -----------------------------------------------------------
-
-TEST(BoundedQueueTest, FifoOrderAndCapacity) {
-  BoundedQueue<int> queue(2);
-  EXPECT_EQ(queue.capacity(), 2u);
-  ASSERT_TRUE(queue.TryPush(1).ok());
-  ASSERT_TRUE(queue.TryPush(2).ok());
-  EXPECT_EQ(queue.TryPush(3).code(), StatusCode::kUnavailable);
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
-  EXPECT_EQ(queue.Pop(), std::optional<int>(2));
-  EXPECT_EQ(queue.TryPop(), std::nullopt);
-}
-
-TEST(BoundedQueueTest, ShutdownDrainsThenSignalsClosed) {
-  BoundedQueue<int> queue(4);
-  ASSERT_TRUE(queue.Push(7).ok());
-  queue.Shutdown();
-  EXPECT_EQ(queue.Push(8).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(queue.Pop(), std::optional<int>(7));  // queued items still drain
-  EXPECT_EQ(queue.Pop(), std::nullopt);           // then closed
-}
-
-TEST(BoundedQueueTest, ShutdownWakesBlockedConsumer) {
-  BoundedQueue<int> queue(1);
-  std::optional<int> got = 42;
-  std::thread consumer([&queue, &got] { got = queue.Pop(); });
-  queue.Shutdown();
-  consumer.join();
-  EXPECT_EQ(got, std::nullopt);
-}
-
-TEST(BoundedQueueTest, ShutdownWakesBlockedProducer) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1).ok());
-  Status pushed = Status::Ok();
-  std::thread producer([&queue, &pushed] { pushed = queue.Push(2); });
-  queue.Shutdown();
-  producer.join();
-  EXPECT_EQ(pushed.code(), StatusCode::kFailedPrecondition);
-}
 
 // --- QosScheduler -----------------------------------------------------------
 
@@ -649,6 +616,134 @@ TEST(SosdServerTest, FuzzedStreamsNeverWedgeTheServer) {
     ::close(fds[0]);
     server_thread.join();
   }
+}
+
+// --- Accept loop ------------------------------------------------------------
+
+// A listening AF_UNIX socket in the abstract namespace (no file to clean
+// up), serving `service` through ServeListener on its own thread.
+struct ListenerHarness {
+  sockaddr_un addr{};
+  socklen_t addr_len = 0;
+  int listen_fd = -1;
+  std::atomic<bool> stop{false};
+  SosdServer server;
+  std::thread thread;
+  std::future<void> returned;
+
+  ListenerHarness(AsyncBlockService* service, const std::string& name) : server(service) {
+    addr.sun_family = AF_UNIX;
+    const std::string path = name + "." + std::to_string(::getpid());
+    std::memcpy(addr.sun_path + 1, path.data(), path.size());  // sun_path[0] == 0: abstract
+    addr_len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + path.size());
+    listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), addr_len), 0);
+    EXPECT_EQ(::listen(listen_fd, 16), 0);
+    std::promise<void> done;
+    returned = done.get_future();
+    thread = std::thread([this, done = std::move(done)]() mutable {
+      server.ServeListener(listen_fd, stop);
+      done.set_value();
+    });
+  }
+
+  ~ListenerHarness() {
+    stop.store(true);
+    thread.join();
+    ::close(listen_fd);
+  }
+
+  int Connect() const {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), addr_len), 0);
+    return fd;
+  }
+};
+
+size_t TaskCount() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+// Virtual size of this process in kB. An exited but unjoined thread is gone
+// from /proc/self/task at once, yet its stack stays mapped until the join,
+// so this is where leaked connection threads show. (Call with malloc held to
+// one arena: each extra glibc arena reserves 64 MiB of address space.)
+uint64_t VmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      uint64_t kb = 0;
+      status >> kb;
+      return kb;
+    }
+  }
+  return 0;
+}
+
+TEST(SosdServerTest, ListenerJoinsClosedConnections) {
+  // Threads contending in malloc would otherwise each add an arena, which
+  // moves VmSize by as much as a handful of leaked stacks.
+  mallopt(M_ARENA_MAX, 1);
+  SimClock clock;
+  SosDevice device(SmallDeviceConfig(25), &clock);
+  AsyncBlockService service(&device, &clock, ServeConfig{});
+  ListenerHarness listener(&service, "sosd-reap");
+
+  // One request per connection proves the server thread ran before the
+  // client hangs up.
+  const auto cycle = [&listener] {
+    SocketClient client(listener.Connect());
+    EXPECT_EQ(client.Read(4000, PlacementHandle()).status().code(), StatusCode::kNotFound);
+  };
+  // Wait (bounded) for the listener to join what the cycles left behind.
+  const auto settle = [](size_t tasks, uint64_t vm_kb) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while ((TaskCount() > tasks || VmSizeKb() > vm_kb) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
+  for (int i = 0; i < 4; ++i) {
+    cycle();  // warm the allocator's thread-stack cache
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));  // 3 accept-loop polls
+  const size_t tasks_before = TaskCount();
+  const uint64_t vm_before_kb = VmSizeKb();
+
+  for (int i = 0; i < 64; ++i) {
+    cycle();
+  }
+  // Slack far below the 64 thread stacks a missing join would keep mapped.
+  constexpr uint64_t kSlackKb = 64 * kMiB / kKiB;
+  settle(tasks_before, vm_before_kb + kSlackKb);
+  EXPECT_LE(TaskCount(), tasks_before);
+  EXPECT_LE(VmSizeKb(), vm_before_kb + kSlackKb);
+}
+
+TEST(SosdServerTest, ListenerStopsPromptlyWithIdleClientConnected) {
+  SimClock clock;
+  SosDevice device(SmallDeviceConfig(26), &clock);
+  AsyncBlockService service(&device, &clock, ServeConfig{});
+  ListenerHarness listener(&service, "sosd-stop");
+
+  const int fd = listener.Connect();
+  {
+    // A served request puts the connection thread back into read(), idle.
+    Frame flush;
+    flush.type = FrameType::kFlush;
+    std::vector<uint8_t> bytes;
+    AppendFrame(bytes, flush);
+    ASSERT_EQ(::write(fd, bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+    uint8_t reply[256];
+    ASSERT_GT(::read(fd, reply, sizeof(reply)), 0);
+  }
+
+  listener.stop.store(true);
+  EXPECT_EQ(listener.returned.wait_for(std::chrono::seconds(1)), std::future_status::ready)
+      << "ServeListener still waiting on an idle connection";
+  ::close(fd);  // lets a wedged listener finish, so the harness can join it
 }
 
 }  // namespace

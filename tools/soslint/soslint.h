@@ -52,9 +52,9 @@
 //       covers the bench drivers and one-shot tools TSan never runs.
 //       Exemption: mutating calls through an identifier declared (anywhere
 //       in the tree) with an internally synchronized type -- a class whose
-//       body holds a std::mutex / condition_variable / atomic member, e.g.
-//       serve::BoundedQueue -- are the sanctioned completion-queue hand-off
-//       idiom and are not flagged.
+//       body holds a std::mutex / condition_variable / atomic member, such
+//       as a locking completion queue or serve::AsyncBlockService -- are
+//       the sanctioned hand-off idiom and are not flagged.
 //   R9  Golden-output float stability. Doubles reaching textual output must
 //       go through fixed-precision formatting (snprintf/%.*f or the project
 //       formatters FormatDouble/FormatPercent/FormatBytes/FormatJsonDouble)
