@@ -128,7 +128,8 @@ DecodeOutcome DecodePage(const EccScheme& scheme, uint32_t page_bytes, uint64_t 
     return outcome;
   }
   const uint32_t codewords = scheme.CodewordsPerPage(page_bytes);
-  if (raw_errors == 0 || codewords == 0) {
+  // At most t raw errors cannot overload any codeword, whatever the split.
+  if (raw_errors <= scheme.correctable_bits || codewords == 0) {
     outcome.corrected = true;
     return outcome;
   }

@@ -73,7 +73,8 @@ struct DecodeOutcome {
 
 // Splits `raw_errors` across the page's codewords (deterministically, from
 // `stream_seed`) and decodes each. With EccPreset::kNone, decoding never
-// corrects anything and all errors are residual.
+// corrects anything and all errors are residual. With t > 0 and at most t
+// raw errors no codeword can fail, so the page decodes without a split.
 DecodeOutcome DecodePage(const EccScheme& scheme, uint32_t page_bytes, uint64_t raw_errors,
                          uint64_t stream_seed);
 

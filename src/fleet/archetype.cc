@@ -208,6 +208,7 @@ DeviceDraw DrawDevice(const MixSpec& mix, uint64_t fleet_seed, uint64_t index) {
   config.file_size_cap = 32 * kKiB;
 
   // Per-device telemetry off: a million devices keep scalar outcomes only.
+  // A capacity-0 sink builds no event; it only counts the drops.
   config.trace_capacity = 0;
   config.capture_device_metrics = false;
   config.sample_period_days = 0;

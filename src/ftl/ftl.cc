@@ -592,7 +592,7 @@ std::vector<Result<FtlReadResult>> Ftl::ReadRun(uint64_t start_lba, uint32_t cou
   while (i < count) {
     const auto first = l2p_.Find(start_lba + i);
     if (!first.has_value()) {
-      out.push_back(Status(StatusCode::kNotFound, "unmapped LBA"));
+      out.emplace_back(Status(StatusCode::kNotFound, "unmapped LBA"));
       ++i;
       continue;
     }
@@ -799,11 +799,13 @@ Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
   }
   l2p_.Set(lba, loc.value());
   ++pools_[target_pool].stats.migrations_;
-  Trace(obs::TraceEvent{clock_->now(), "ftl.migrate"}
-            .WithU64("lba", lba)
-            .With("from", pools_[source_pool].config.name)
-            .With("to", pools_[target_pool].config.name)
-            .WithU64("tainted", tainted ? 1 : 0));
+  Trace([&] {
+    return obs::TraceEvent{clock_->now(), "ftl.migrate"}
+        .WithU64("lba", lba)
+        .With("from", pools_[source_pool].config.name)
+        .With("to", pools_[target_pool].config.name)
+        .WithU64("tainted", tainted ? 1 : 0);
+  });
   return Status::Ok();
 }
 
@@ -901,10 +903,12 @@ bool Ftl::CollectGarbage(uint32_t pool_id) {
   if (!victim.has_value()) {
     return false;
   }
-  Trace(obs::TraceEvent{clock_->now(), "ftl.gc.victim"}
-            .With("pool", pool.config.name)
-            .WithU64("block", *victim)
-            .WithU64("valid_pages", block_valid_[*victim]));
+  Trace([&] {
+    return obs::TraceEvent{clock_->now(), "ftl.gc.victim"}
+        .With("pool", pool.config.name)
+        .WithU64("block", *victim)
+        .WithU64("valid_pages", block_valid_[*victim]);
+  });
   if (!EvacuateAndRecycle(pool_id, *victim, /*count_as_wl=*/false).ok()) {
     return false;
   }
@@ -1140,10 +1144,12 @@ void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
   --pool.num_blocks;
   ++pool.retired;
   ++pool.stats.retired_blocks_;
-  Trace(obs::TraceEvent{clock_->now(), "ftl.block.retired"}
-            .With("pool", pool.config.name)
-            .WithU64("block", block_id)
-            .WithU64("pec", nand_.block_info(block_id).pec));
+  Trace([&] {
+    return obs::TraceEvent{clock_->now(), "ftl.block.retired"}
+        .With("pool", pool.config.name)
+        .WithU64("block", block_id)
+        .WithU64("pec", nand_.block_info(block_id).pec);
+  });
 
   bool resuscitated = false;
   if (pool.resuscitate_pool.has_value()) {
@@ -1159,10 +1165,12 @@ void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
       Status label = nand_.SetBlockLabel(block_id, *pool.resuscitate_pool);
       assert(label.ok());
       (void)label;
-      Trace(obs::TraceEvent{clock_->now(), "ftl.block.resuscitated"}
-                .With("from", pool.config.name)
-                .With("to", target.config.name)
-                .WithU64("block", block_id));
+      Trace([&] {
+        return obs::TraceEvent{clock_->now(), "ftl.block.resuscitated"}
+            .With("from", pool.config.name)
+            .With("to", target.config.name)
+            .WithU64("block", block_id);
+      });
     }
   }
   if (!resuscitated) {
@@ -1241,9 +1249,11 @@ Status Ftl::DropBadBlock(uint32_t pool_id, uint32_t block_id) {
   Status label = nand_.SetBlockLabel(block_id, NandDevice::kNoLabel);
   assert(label.ok());
   (void)label;
-  Trace(obs::TraceEvent{clock_->now(), "ftl.block.grown_bad"}
-            .With("pool", pool.config.name)
-            .WithU64("block", block_id));
+  Trace([&] {
+    return obs::TraceEvent{clock_->now(), "ftl.block.grown_bad"}
+        .With("pool", pool.config.name)
+        .WithU64("block", block_id);
+  });
   NotifyCapacity();
   return Status::Ok();
 }
@@ -1444,12 +1454,6 @@ void Ftl::ToMetrics(obs::MetricRegistry& registry, const std::string& prefix) co
     registry.SetGauge(prefix + "placement.pool." + pools_[pool_id].config.name +
                           ".pec_variance",
                       Snapshot(pool_id).pec_variance);
-  }
-}
-
-void Ftl::Trace(obs::TraceEvent event) {
-  if (trace_ != nullptr) {
-    trace_->Emit(std::move(event));
   }
 }
 

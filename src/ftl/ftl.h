@@ -43,6 +43,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -578,8 +579,14 @@ class Ftl {
   [[nodiscard]] Status RelocatePage(uint32_t pool_id, uint64_t lba,
                                     const FtlReadResult& read, bool count_as_wl);
 
-  // Emits one trace event (no-op when no sink is attached).
-  void Trace(obs::TraceEvent event);
+  // Emits the event `build()` returns (no-op when no sink is attached).
+  // `build` runs only if the sink keeps the event (obs::TraceSink::Emit).
+  template <typename Build>
+  void Trace(Build&& build) {
+    if (trace_ != nullptr) {
+      trace_->Emit(std::forward<Build>(build));
+    }
+  }
 
   // --- Flat per-page / per-block metadata (struct-of-arrays) ---------------
   //

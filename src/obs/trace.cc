@@ -23,7 +23,7 @@ std::string FormatI64(int64_t v) {
   return buf;
 }
 
-void AppendEscaped(std::string& out, const std::string& s) {
+void AppendEscaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"':
@@ -50,11 +50,10 @@ void AppendEscaped(std::string& out, const std::string& s) {
   }
 }
 
-// Field values are rendered by the With*() helpers; numeric ones arrive as
-// already-formatted decimal/%.17g strings and are emitted bare, everything
-// else is quoted. A value is "numeric" if the helper produced it, which we
-// detect conservatively by shape so hand-built string fields stay quoted.
-bool LooksNumeric(const std::string& v) {
+// A With() value is emitted bare when it is numeric-shaped -- as the
+// numeric helpers' output always is -- and quoted otherwise, so hand-built
+// string fields stay quoted.
+bool LooksNumeric(std::string_view v) {
   if (v.empty()) {
     return false;
   }
@@ -76,37 +75,43 @@ bool LooksNumeric(const std::string& v) {
   return digits;
 }
 
+// Appends one rendered `, "key": value` fragment to `fields`.
+void AppendField(std::string& fields, std::string_view key, std::string_view value) {
+  fields += ", \"";
+  AppendEscaped(fields, key);
+  fields += "\": ";
+  if (LooksNumeric(value)) {
+    fields += value;
+  } else {
+    fields += "\"";
+    AppendEscaped(fields, value);
+    fields += "\"";
+  }
+}
+
 }  // namespace
 
-TraceEvent& TraceEvent::With(const std::string& key, const std::string& value) {
-  fields.emplace_back(key, value);
+TraceEvent& TraceEvent::With(std::string_view key, std::string_view value) {
+  AppendField(fields, key, value);
   return *this;
 }
 
-TraceEvent& TraceEvent::WithU64(const std::string& key, uint64_t value) {
-  fields.emplace_back(key, FormatU64(value));
+TraceEvent& TraceEvent::WithU64(std::string_view key, uint64_t value) {
+  AppendField(fields, key, FormatU64(value));
   return *this;
 }
 
-TraceEvent& TraceEvent::WithI64(const std::string& key, int64_t value) {
-  fields.emplace_back(key, FormatI64(value));
+TraceEvent& TraceEvent::WithI64(std::string_view key, int64_t value) {
+  AppendField(fields, key, FormatI64(value));
   return *this;
 }
 
-TraceEvent& TraceEvent::WithF64(const std::string& key, double value) {
-  fields.emplace_back(key, FormatJsonDouble(value));
+TraceEvent& TraceEvent::WithF64(std::string_view key, double value) {
+  AppendField(fields, key, FormatJsonDouble(value));
   return *this;
 }
 
 TraceSink::TraceSink(size_t capacity) : capacity_(capacity) { events_.reserve(capacity_); }
-
-void TraceSink::Emit(TraceEvent event) {
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    return;
-  }
-  events_.push_back(std::move(event));
-}
 
 void TraceSink::ToMetrics(MetricRegistry& registry, const std::string& prefix) const {
   registry.SetCounter(prefix + "trace.events", events_.size());
@@ -119,18 +124,7 @@ std::string TraceEventToJson(const TraceEvent& event) {
   out += ", \"type\": \"";
   AppendEscaped(out, event.type);
   out += "\"";
-  for (const auto& [key, value] : event.fields) {
-    out += ", \"";
-    AppendEscaped(out, key);
-    out += "\": ";
-    if (LooksNumeric(value)) {
-      out += value;
-    } else {
-      out += "\"";
-      AppendEscaped(out, value);
-      out += "\"";
-    }
-  }
+  out += event.fields;
   out += "}";
   return out;
 }

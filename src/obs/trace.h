@@ -4,21 +4,26 @@
 //
 // A TraceSink records discrete simulator events -- GC victim picks, pool
 // migrations, block retirement/resuscitation, auto-delete trims -- as a
-// bounded stream rendered to JSONL. Fields are an *ordered* key/value list
-// (insertion order = export order) so a trace line never depends on hash
-// order. Timestamps are simulated time only; components stamp events with
-// SimClock::now() at the emit site.
+// bounded stream rendered to JSONL. Fields export in insertion order, so a
+// trace line never depends on hash order. Timestamps are simulated time
+// only; components stamp events with SimClock::now() at the emit site.
 //
 // Overflow policy: keep-first / drop-newest. Once `capacity` events are
 // buffered, further Emit() calls only bump the dropped counter. The first N
 // events of a run are therefore identical no matter how much pressure later
 // phases generate -- the bounded trace itself stays deterministic.
+//
+// An event costs only what the sink keeps: emit sites hand Emit() a builder,
+// which runs only while the sink has room, and each field is rendered to its
+// JSON text once, when it is added.
 
 #ifndef SOS_SRC_OBS_TRACE_H_
 #define SOS_SRC_OBS_TRACE_H_
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,24 +35,28 @@ namespace sos::obs {
 class MetricRegistry;
 
 // One discrete simulator event. `type` follows the metric naming scheme
-// (`layer.component.event`, e.g. "ftl.gc.victim"); `fields` render in
-// insertion order.
+// (`layer.component.event`, e.g. "ftl.gc.victim"); `fields` holds the
+// fields already rendered as JSON, one `, "key": value` fragment per With*()
+// call in call order, so an event is two strings and rendering it is a
+// concatenation.
 struct TraceEvent {
   TraceEvent() = default;
   TraceEvent(SimTimeUs t, std::string event_type) : t_us(t), type(std::move(event_type)) {}
 
   SimTimeUs t_us = 0;
   std::string type;
-  std::vector<std::pair<std::string, std::string>> fields;
+  std::string fields;
 
   bool operator==(const TraceEvent& other) const = default;
 
   // Field helpers render values deterministically (decimal u64/i64, %.17g
-  // doubles) and return *this for chaining at the emit site.
-  TraceEvent& With(const std::string& key, const std::string& value);
-  TraceEvent& WithU64(const std::string& key, uint64_t value);
-  TraceEvent& WithI64(const std::string& key, int64_t value);
-  TraceEvent& WithF64(const std::string& key, double value);
+  // doubles) and return *this for chaining at the emit site. A With() value
+  // that is numeric-shaped renders bare, like the numeric helpers' output;
+  // anything else is quoted.
+  TraceEvent& With(std::string_view key, std::string_view value);
+  TraceEvent& WithU64(std::string_view key, uint64_t value);
+  TraceEvent& WithI64(std::string_view key, int64_t value);
+  TraceEvent& WithF64(std::string_view key, double value);
 };
 
 // Bounded collector for TraceEvents. Not thread-safe by design: each worker
@@ -58,10 +67,26 @@ class TraceSink {
   // above). Defaults generously for a full LifetimeSim run.
   explicit TraceSink(size_t capacity = kDefaultCapacity);
 
-  // Records `event` if the sink has room, else counts it as dropped.
-  void Emit(TraceEvent event);
+  // True once `capacity` events are kept: every later event is dropped.
+  bool full() const { return events_.size() >= capacity_; }
+
+  // Keeps the event `build()` returns if the sink has room, else counts it
+  // as dropped without calling `build`. This is the one emit path: an event
+  // the sink would drop costs a counter increment, not its formatting.
+  template <typename Build>
+    requires std::invocable<Build&>
+  void Emit(Build&& build) {
+    if (full()) {
+      ++dropped_;
+      return;
+    }
+    events_.push_back(build());
+  }
 
   const std::vector<TraceEvent>& events() const { return events_; }
+  // Moves the kept events out, leaving the sink empty; dropped() is kept.
+  // A run hands its trace to its result this way, so only one copy exists.
+  std::vector<TraceEvent> TakeEvents() { return std::exchange(events_, {}); }
   uint64_t dropped() const { return dropped_; }
   size_t capacity() const { return capacity_; }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/classify/corpus.h"
 #include "src/common/rng.h"
@@ -343,12 +344,14 @@ void LifetimeSim::UpdateHealthState(uint32_t day) {
   }
   if (next != health_state_) {
     ++result_.health_transitions_;
-    trace_.Emit(obs::TraceEvent{clock_.now(), "sos.health.transition"}
-                    .WithU64("day", day)
-                    .With("from", HealthStateName(health_state_))
-                    .With("to", HealthStateName(next))
-                    .WithF64("max_wear_ratio", wear)
-                    .WithF64("capacity_retained", capacity_retained));
+    trace_.Emit([&] {
+      return obs::TraceEvent{clock_.now(), "sos.health.transition"}
+          .WithU64("day", day)
+          .With("from", HealthStateName(health_state_))
+          .With("to", HealthStateName(next))
+          .WithF64("max_wear_ratio", wear)
+          .WithF64("capacity_retained", capacity_retained);
+    });
     health_state_ = next;
   }
 }
@@ -403,6 +406,10 @@ DaySample LifetimeSim::Sample(uint32_t day) const {
 }
 
 LifetimeResult LifetimeSim::Run() {
+  // The result's trace is moved out of the sink below, so a second run would
+  // silently return an empty trace.
+  assert(!ran_ && "LifetimeSim::Run() can be called once per instance");
+  ran_ = true;
   result_.initial_exported_pages_ =
       (sos_device_ != nullptr ? sos_device_->ftl() : baseline_device_->ftl()).ExportedPages();
 
@@ -464,9 +471,9 @@ LifetimeResult LifetimeSim::Run() {
     ftl.nand().ToMetrics(device_registry, "flash.die.");
     result_.device_metrics_ = device_registry.Snapshot();
   }
-  result_.trace_ = trace_.events();
+  result_.trace_ = trace_.TakeEvents();
   result_.trace_dropped_ = trace_.dropped();
-  return result_;
+  return std::move(result_);
 }
 
 }  // namespace sos

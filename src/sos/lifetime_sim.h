@@ -98,8 +98,8 @@ struct LifetimeSimConfig {
 
   // Capacity of the per-run trace buffer (keep-first / drop-newest; see
   // obs/trace.h). Fleet runs shrink this to 0 so a million devices don't
-  // retain a million traces -- the dropped counter still accounts for every
-  // event that would have been recorded.
+  // retain a million traces -- no event is built, and the dropped counter
+  // still accounts for every event that would have been recorded.
   size_t trace_capacity = obs::TraceSink::kDefaultCapacity;
 
   // Capture the per-device metric rows (ftl.*, flash.die.*) into the
@@ -222,8 +222,8 @@ class LifetimeSim {
  public:
   explicit LifetimeSim(const LifetimeSimConfig& config);
 
-  // Runs the configured number of days and returns the result. Can be called
-  // once per instance.
+  // Runs the configured number of days and returns the result, trace moved
+  // in. Can be called once per instance; a second call aborts.
   LifetimeResult Run();
 
  private:
@@ -259,6 +259,7 @@ class LifetimeSim {
   obs::TraceSink trace_;
   HealthState health_state_ = HealthState::kHealthy;
   LifetimeResult result_;
+  bool ran_ = false;
 };
 
 // The FTL behind whichever device kind is active (bench helper).

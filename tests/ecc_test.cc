@@ -128,6 +128,39 @@ TEST(DecodePageTest, DeterministicPerSeed) {
   EXPECT_EQ(a.failed_codewords, b.failed_codewords);
 }
 
+// DecodePage answers "corrected" without splitting a page that holds at most
+// t raw errors. That shortcut is exact only if no split of <= t errors can
+// fail: check every preset and raw count in [0, t] over many seeds.
+TEST(DecodePageTest, AtMostTErrorsAlwaysCorrect) {
+  for (const EccPreset preset :
+       {EccPreset::kNone, EccPreset::kWeakBch, EccPreset::kBch, EccPreset::kLdpc}) {
+    const EccScheme scheme = EccScheme::FromPreset(preset);
+    for (const uint32_t page_bytes : {uint32_t{4 * kKiB}, uint32_t{16 * kKiB}}) {
+      for (uint64_t raw = 0; raw <= scheme.correctable_bits; ++raw) {
+        for (uint64_t seed = 0; seed < 256; ++seed) {
+          const DecodeOutcome out = DecodePage(scheme, page_bytes, raw, seed);
+          ASSERT_TRUE(out.corrected) << EccPresetName(preset) << " raw=" << raw;
+          ASSERT_EQ(out.residual_errors, 0u);
+          ASSERT_EQ(out.failed_codewords, 0u);
+        }
+      }
+    }
+  }
+}
+
+TEST(DecodePageTest, OneErrorPastTFailsASingleCodewordPage) {
+  // The shortcut stops at exactly t: on a one-codeword page, t + 1 errors
+  // all land in that codeword and overload it.
+  for (const EccPreset preset : {EccPreset::kWeakBch, EccPreset::kBch, EccPreset::kLdpc}) {
+    const EccScheme scheme = EccScheme::FromPreset(preset);
+    const uint64_t raw = scheme.correctable_bits + 1;
+    const DecodeOutcome out = DecodePage(scheme, scheme.codeword_bytes, raw, 3);
+    EXPECT_FALSE(out.corrected) << EccPresetName(preset);
+    EXPECT_EQ(out.failed_codewords, 1u);
+    EXPECT_EQ(out.residual_errors, raw);
+  }
+}
+
 // --- Parity ----------------------------------------------------------------
 
 TEST(ParityTest, ReconstructsAnyLostPage) {

@@ -242,7 +242,7 @@ TEST(SosDeviceDegradedReadTest, SpareServesAgedDataDegradedButFlagged) {
     if (wrong) {
       EXPECT_TRUE(read.value().degraded) << "silently corrupted SPARE read";
     }
-    degraded += read.value().degraded ? 1 : 0;
+    degraded += read.value().degraded ? 1u : 0u;
   }
   EXPECT_GT(degraded, 0u) << "aging produced no corruption; tune the test";
 }

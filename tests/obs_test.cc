@@ -115,10 +115,10 @@ TEST(MetricsJsonTest, RenderingIsByteStableAcrossIdenticalRegistries) {
 
 TEST(TraceSinkTest, KeepsFirstEventsAndCountsDrops) {
   TraceSink sink(2);
-  sink.Emit(TraceEvent{1, "first"});
-  sink.Emit(TraceEvent{2, "second"});
-  sink.Emit(TraceEvent{3, "dropped"});
-  sink.Emit(TraceEvent{4, "dropped"});
+  sink.Emit([] { return TraceEvent{1, "first"}; });
+  sink.Emit([] { return TraceEvent{2, "second"}; });
+  sink.Emit([] { return TraceEvent{3, "dropped"}; });
+  sink.Emit([] { return TraceEvent{4, "dropped"}; });
 
   ASSERT_EQ(sink.events().size(), 2u);
   EXPECT_EQ(sink.events()[0].type, "first");
@@ -130,10 +130,40 @@ TEST(TraceSinkTest, KeepsFirstEventsAndCountsDrops) {
   EXPECT_NE(jsonl.find("\"count\": 2"), std::string::npos);
 }
 
+TEST(TraceSinkTest, FullSinkNeverCallsBuilderButCountsEveryDrop) {
+  for (const size_t capacity : {size_t{0}, size_t{2}}) {
+    TraceSink sink(capacity);
+    int builds = 0;
+    const auto build = [&builds] {
+      ++builds;
+      return TraceEvent{7, "built"}.WithU64("n", 1);
+    };
+    for (int i = 0; i < 5; ++i) {
+      sink.Emit(build);
+    }
+    // Only the kept events were built; the other emits cost a counter bump.
+    EXPECT_EQ(builds, static_cast<int>(capacity)) << "capacity " << capacity;
+    EXPECT_EQ(sink.events().size(), capacity);
+    EXPECT_EQ(sink.dropped(), 5u - capacity);
+    EXPECT_TRUE(sink.full());
+  }
+}
+
+TEST(TraceSinkTest, TakeEventsMovesThemOutAndKeepsTheDropCount) {
+  TraceSink sink(1);
+  sink.Emit([] { return TraceEvent{0, "kept"}; });
+  sink.Emit([] { return TraceEvent{1, "dropped"}; });
+  const std::vector<TraceEvent> taken = sink.TakeEvents();
+  ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(taken[0].type, "kept");
+  EXPECT_TRUE(sink.events().empty());
+  EXPECT_EQ(sink.dropped(), 1u);
+}
+
 TEST(TraceSinkTest, ToMetricsExportsEventAndDropCounters) {
   TraceSink sink(1);
-  sink.Emit(TraceEvent{0, "kept"});
-  sink.Emit(TraceEvent{1, "dropped"});
+  sink.Emit([] { return TraceEvent{0, "kept"}; });
+  sink.Emit([] { return TraceEvent{1, "dropped"}; });
 
   MetricRegistry registry;
   sink.ToMetrics(registry, "dev.");
@@ -169,6 +199,27 @@ TEST(TraceEventTest, FieldsRenderInInsertionOrder) {
   EXPECT_EQ(json,
             "{\"t_us\": 123, \"type\": \"ftl.gc.victim\", \"pool\": \"SYS\", "
             "\"block\": 7, \"score\": 0.5, \"delta\": -3}");
+}
+
+TEST(TraceEventTest, NumericShapedStringsRenderBare) {
+  // A With() value that looks like a number renders exactly as the numeric
+  // helpers would; anything else stays a quoted, escaped string.
+  TraceEvent event{0, "t"};
+  event.With("u", "42")
+      .With("i", "-3")
+      .With("f", "1.5e-07")
+      .With("dash", "-")
+      .With("word", "SYS")
+      .With("quote", "a\"b");
+  EXPECT_EQ(TraceEventToJson(event),
+            "{\"t_us\": 0, \"type\": \"t\", \"u\": 42, \"i\": -3, \"f\": 1.5e-07, "
+            "\"dash\": \"-\", \"word\": \"SYS\", \"quote\": \"a\\\"b\"}");
+
+  TraceEvent typed{0, "t"};
+  typed.WithU64("u", 42).WithI64("i", -3).WithF64("f", 0.25);
+  TraceEvent strings{0, "t"};
+  strings.With("u", "42").With("i", "-3").With("f", "0.25");
+  EXPECT_EQ(typed, strings);
 }
 
 TEST(ScopedLatencyTest, ObservesSimTimeDelta) {

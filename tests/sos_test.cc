@@ -523,6 +523,18 @@ TEST(LifetimeSimTest, SamplesAreOrderedAndMonotoneInWear) {
   }
 }
 
+#if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
+// Run() hands its trace to the result, so it is once per instance; a second
+// call is API misuse and aborts, like FlagSet's declaration-time misuse
+// (flagset_test's death tests), instead of returning an empty trace.
+TEST(LifetimeSimDeathTest, SecondRunAborts) {
+  LifetimeSim sim(QuickSim(DeviceKind::kSos, 2));
+  [[maybe_unused]] const LifetimeResult first = sim.Run();
+  EXPECT_DEATH({ [[maybe_unused]] const LifetimeResult second = sim.Run(); },
+               "once per instance");
+}
+#endif
+
 TEST(LifetimeSimTest, PeriodicRetrainingRuns) {
   LifetimeSimConfig config = QuickSim(DeviceKind::kSos, 120);
   config.retrain_period_days = 30;
