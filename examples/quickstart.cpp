@@ -93,7 +93,7 @@ int main() {
               static_cast<unsigned long long>(run.scanned),
               static_cast<unsigned long long>(run.demoted));
   auto placement = [&](uint64_t id) {
-    return DurabilityName(fs.PlacementSpecOf(id).value().durability);
+    return DurabilityName(device.DescribePlacement(fs.PlacementOf(id)).value().durability);
   };
   std::printf("  %-32s -> %s\n", photo.path.c_str(), placement(photo_id));
   std::printf("  %-32s -> %s\n", video.path.c_str(), placement(video_id));

@@ -13,6 +13,18 @@ std::vector<const FileMeta*> AsPointers(const std::vector<FileMeta>& corpus) {
   return out;
 }
 
+bool BinaryClassifier::ScoreAndBounds(const FileMeta& meta, SimTimeUs now_us,
+                                      std::span<const SimTimeUs> ends, double* score,
+                                      std::span<ScoreRange> bounds) const {
+  *score = Score(meta, now_us);
+  for (size_t k = 0; k < ends.size(); ++k) {
+    if (!ScoreBounds(meta, now_us, ends[k], &bounds[k].lo, &bounds[k].hi)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 double RuleBasedClassifier::Score(const FileMeta& meta, SimTimeUs /*now_us*/) const {
   switch (meta.type) {
     case FileType::kPhoto:

@@ -20,6 +20,7 @@
 #define SOS_SRC_CLASSIFY_CLASSIFIER_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/classify/features.h"
@@ -27,6 +28,12 @@
 #include "src/host/placement.h"
 
 namespace sos {
+
+// Bounds on a score over a time window.
+struct ScoreRange {
+  double lo = 0.0;
+  double hi = 0.0;
+};
 
 // A binary classifier over FileMeta. Scores near 1 mean "positive class".
 // For priority models the positive class is EXPENDABLE (safe-to-degrade);
@@ -46,6 +53,15 @@ class BinaryClassifier {
                            double* /*lo*/, double* /*hi*/) const {
     return false;
   }
+
+  // Sets *score = Score(meta, now_us) and, for every k, bounds[k] to what
+  // ScoreBounds(meta, now_us, ends[k], ...) gives (every ends[k] >= now_us,
+  // bounds.size() >= ends.size()). Returns false when the model cannot bound
+  // its score; `bounds` is then unspecified. The default makes exactly those
+  // calls; a model overrides it to extract the features of `meta` once.
+  virtual bool ScoreAndBounds(const FileMeta& meta, SimTimeUs now_us,
+                              std::span<const SimTimeUs> ends, double* score,
+                              std::span<ScoreRange> bounds) const;
 
   // Hard decision at `threshold` (default 0.5). Higher thresholds are more
   // conservative about declaring a file expendable/deletable.

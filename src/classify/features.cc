@@ -29,17 +29,22 @@ uint64_t HashToken(std::string_view token) {
 
 }  // namespace
 
-FeatureVector ExtractFeatures(const FileMeta& meta, SimTimeUs now_us) {
-  FeatureVector f{};
-  size_t i = 0;
-  // Numeric block.
-  f[i++] = LogBytes(meta.size_bytes);
-  f[i++] = std::log1p(AgeDays(now_us, meta.created_us)) / 3.0;
-  f[i++] = std::log1p(AgeDays(now_us, meta.last_accessed_us)) / 3.0;
+void ExtractTimeFeatures(const FileMeta& meta, SimTimeUs now_us, FeatureVector* f) {
+  size_t i = kTimeFeaturesBegin;
+  (*f)[i++] = std::log1p(AgeDays(now_us, meta.created_us)) / 3.0;
+  (*f)[i++] = std::log1p(AgeDays(now_us, meta.last_accessed_us)) / 3.0;
   // Reads per day of life; +1 day avoids the new-file singularity.
   const double life_days = AgeDays(now_us, meta.created_us) + 1.0;
-  f[i++] = std::log1p(static_cast<double>(meta.read_count) / life_days);
-  f[i++] = std::log1p(static_cast<double>(meta.write_count) / life_days);
+  (*f)[i++] = std::log1p(static_cast<double>(meta.read_count) / life_days);
+  (*f)[i++] = std::log1p(static_cast<double>(meta.write_count) / life_days);
+}
+
+FeatureVector ExtractFeatures(const FileMeta& meta, SimTimeUs now_us) {
+  FeatureVector f{};
+  // Numeric block.
+  f[0] = LogBytes(meta.size_bytes);
+  ExtractTimeFeatures(meta, now_us, &f);
+  size_t i = kTimeFeaturesEnd;
   f[i++] = meta.entropy_bits_per_byte / 8.0;
   f[i++] = meta.personal_signal;
 

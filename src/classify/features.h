@@ -26,8 +26,17 @@ inline constexpr size_t kFeatureDim = kNumericFeatures + kNumFileTypes + kPathHa
 
 using FeatureVector = std::array<double, kFeatureDim>;
 
+// Features [kTimeFeaturesBegin, kTimeFeaturesEnd) -- log_age, log_recency,
+// read_rate and write_rate -- are the only ones that depend on `now_us`.
+inline constexpr size_t kTimeFeaturesBegin = 1;
+inline constexpr size_t kTimeFeaturesEnd = 5;
+
 // Extracts features; `now_us` anchors the age/recency features.
 FeatureVector ExtractFeatures(const FileMeta& meta, SimTimeUs now_us);
+
+// Overwrites only the time-dependent features of `f` with those of
+// ExtractFeatures(meta, now_us), which computes them through this function.
+void ExtractTimeFeatures(const FileMeta& meta, SimTimeUs now_us, FeatureVector* f);
 
 // Human-readable name of feature `i` (for model introspection dumps).
 const char* FeatureName(size_t i);

@@ -87,13 +87,24 @@ LogisticClassifier LogisticClassifier::Train(const std::vector<const FileMeta*>&
   return model;
 }
 
-double LogisticClassifier::Score(const FileMeta& meta, SimTimeUs now_us) const {
-  const auto x = Standardize(ExtractFeatures(meta, now_us));
+LogisticClassifier::Terms LogisticClassifier::TermsOf(const FeatureVector& f) const {
+  Terms terms{};
+  for (size_t j = 0; j < kFeatureDim; ++j) {
+    terms[j] = Term(j, f[j]);
+  }
+  return terms;
+}
+
+double LogisticClassifier::Logit(const Terms& terms) const {
   double z = b_;
   for (size_t j = 0; j < kFeatureDim; ++j) {
-    z += w_[j] * x[j];
+    z += terms[j];
   }
-  return Sigmoid(z);
+  return z;
+}
+
+double LogisticClassifier::Score(const FileMeta& meta, SimTimeUs now_us) const {
+  return Sigmoid(Logit(TermsOf(ExtractFeatures(meta, now_us))));
 }
 
 // Exact for the reason the features give: with `meta` fixed, log_age and
@@ -103,20 +114,43 @@ double LogisticClassifier::Score(const FileMeta& meta, SimTimeUs now_us) const {
 // Summing the per-term minima (maxima) in Score's order then bounds z from
 // below (above), because rounded addition is monotone in each operand, and
 // the sigmoid is monotone.
-bool LogisticClassifier::ScoreBounds(const FileMeta& meta, SimTimeUs t0_us, SimTimeUs t1_us,
-                                     double* lo, double* hi) const {
-  const auto x0 = Standardize(ExtractFeatures(meta, t0_us));
-  const auto x1 = Standardize(ExtractFeatures(meta, t1_us));
+ScoreRange LogisticClassifier::Bound(const Terms& a, const Terms& b) const {
   double z_lo = b_;
   double z_hi = b_;
   for (size_t j = 0; j < kFeatureDim; ++j) {
-    const double a = w_[j] * x0[j];
-    const double b = w_[j] * x1[j];
-    z_lo += std::min(a, b);
-    z_hi += std::max(a, b);
+    z_lo += std::min(a[j], b[j]);
+    z_hi += std::max(a[j], b[j]);
   }
-  *lo = Sigmoid(z_lo);
-  *hi = Sigmoid(z_hi);
+  return {Sigmoid(z_lo), Sigmoid(z_hi)};
+}
+
+bool LogisticClassifier::ScoreBounds(const FileMeta& meta, SimTimeUs t0_us, SimTimeUs t1_us,
+                                     double* lo, double* hi) const {
+  const ScoreRange range =
+      Bound(TermsOf(ExtractFeatures(meta, t0_us)), TermsOf(ExtractFeatures(meta, t1_us)));
+  *lo = range.lo;
+  *hi = range.hi;
+  return true;
+}
+
+// Bit-exact with Score and ScoreBounds: every term is computed by Term from
+// a feature value computed by the same expression, and summed in the same
+// order. Only the time-dependent features differ between `now_us` and an
+// end, so an end's terms are the terms at `now_us` with those replaced.
+bool LogisticClassifier::ScoreAndBounds(const FileMeta& meta, SimTimeUs now_us,
+                                        std::span<const SimTimeUs> ends, double* score,
+                                        std::span<ScoreRange> bounds) const {
+  FeatureVector f = ExtractFeatures(meta, now_us);
+  const Terms now_terms = TermsOf(f);
+  *score = Sigmoid(Logit(now_terms));
+  Terms end_terms = now_terms;
+  for (size_t k = 0; k < ends.size(); ++k) {
+    ExtractTimeFeatures(meta, ends[k], &f);
+    for (size_t j = kTimeFeaturesBegin; j < kTimeFeaturesEnd; ++j) {
+      end_terms[j] = Term(j, f[j]);
+    }
+    bounds[k] = Bound(now_terms, end_terms);
+  }
   return true;
 }
 

@@ -32,6 +32,8 @@ class LogisticClassifier final : public BinaryClassifier {
   double Score(const FileMeta& meta, SimTimeUs now_us) const override;
   bool ScoreBounds(const FileMeta& meta, SimTimeUs t0_us, SimTimeUs t1_us, double* lo,
                    double* hi) const override;
+  bool ScoreAndBounds(const FileMeta& meta, SimTimeUs now_us, std::span<const SimTimeUs> ends,
+                      double* score, std::span<ScoreRange> bounds) const override;
 
   const std::array<double, kFeatureDim>& weights() const { return w_; }
   double bias() const { return b_; }
@@ -39,7 +41,19 @@ class LogisticClassifier final : public BinaryClassifier {
  private:
   LogisticClassifier() = default;
 
+  using Terms = std::array<double, kFeatureDim>;
+
   std::array<double, kFeatureDim> Standardize(const FeatureVector& f) const;
+  // The weighted standardized feature w_j * x_j of feature value `f_j`.
+  double Term(size_t j, double f_j) const {
+    return w_[j] * ((f_j - feat_mean_[j]) / feat_std_[j]);
+  }
+  // Every feature's term.
+  Terms TermsOf(const FeatureVector& f) const;
+  // The bias plus the terms, summed in feature order: Score's logit.
+  double Logit(const Terms& terms) const;
+  // Bounds over a window whose endpoints have terms `a` and `b`.
+  ScoreRange Bound(const Terms& a, const Terms& b) const;
 
   std::array<double, kFeatureDim> w_{};
   double b_ = 0.0;

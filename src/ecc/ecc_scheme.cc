@@ -119,7 +119,7 @@ double EccScheme::MaxCorrectableRber(uint32_t page_bytes, double target) const {
 }
 
 DecodeOutcome DecodePage(const EccScheme& scheme, uint32_t page_bytes, uint64_t raw_errors,
-                         uint64_t stream_seed) {
+                         std::initializer_list<uint64_t> seed_keys) {
   DecodeOutcome outcome;
   if (scheme.correctable_bits == 0) {
     outcome.corrected = (raw_errors == 0);
@@ -136,7 +136,7 @@ DecodeOutcome DecodePage(const EccScheme& scheme, uint32_t page_bytes, uint64_t 
   // Scatter the raw errors uniformly over codewords (multinomial by repeated
   // uniform draws; raw_errors is small in every regime we simulate).
   std::vector<uint64_t> per_cw(codewords, 0);
-  Rng rng(DeriveSeed({stream_seed, 0x6465636f64650aull /* "decode" */}));
+  Rng rng(DeriveSeed({DeriveSeed(seed_keys), 0x6465636f64650aull /* "decode" */}));
   for (uint64_t e = 0; e < raw_errors; ++e) {
     ++per_cw[rng.NextBounded(codewords)];
   }

@@ -20,6 +20,7 @@
 #define SOS_SRC_ECC_ECC_SCHEME_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string_view>
 
 #include "src/common/units.h"
@@ -72,11 +73,12 @@ struct DecodeOutcome {
 };
 
 // Splits `raw_errors` across the page's codewords (deterministically, from
-// `stream_seed`) and decodes each. With EccPreset::kNone, decoding never
-// corrects anything and all errors are residual. With t > 0 and at most t
-// raw errors no codeword can fail, so the page decodes without a split.
+// the stream seed DeriveSeed(seed_keys)) and decodes each. With
+// EccPreset::kNone, decoding never corrects anything and all errors are
+// residual. With t > 0 and at most t raw errors no codeword can fail, so the
+// page decodes without a split, and without deriving the stream seed.
 DecodeOutcome DecodePage(const EccScheme& scheme, uint32_t page_bytes, uint64_t raw_errors,
-                         uint64_t stream_seed);
+                         std::initializer_list<uint64_t> seed_keys);
 
 }  // namespace sos
 

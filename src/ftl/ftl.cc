@@ -481,10 +481,9 @@ Result<FtlReadResult> Ftl::DecodeRead(const PhysLoc& loc, ReadResult raw, bool c
   result.pool_id = loc.pool;
   result.tainted = loc.tainted;
 
-  const uint64_t decode_seed =
-      DeriveSeed({config_.nand.seed, loc.block, loc.page, raw.bit_errors});
-  const DecodeOutcome outcome = DecodePage(pool.config.ecc, config_.nand.page_size_bytes,
-                                           raw.bit_errors, decode_seed);
+  const DecodeOutcome outcome =
+      DecodePage(pool.config.ecc, config_.nand.page_size_bytes, raw.bit_errors,
+                 {config_.nand.seed, loc.block, loc.page, raw.bit_errors});
   if (outcome.corrected) {
     auto clean = nand_.PeekClean({loc.block, loc.page});
     if (clean.ok()) {
@@ -505,11 +504,9 @@ Result<FtlReadResult> Ftl::DecodeRead(const PhysLoc& loc, ReadResult raw, bool c
     if (!reread.ok()) {
       break;
     }
-    const uint64_t retry_seed = DeriveSeed(
-        {config_.nand.seed, loc.block, loc.page, reread.value().bit_errors,
-         static_cast<uint64_t>(retry)});
-    if (DecodePage(pool.config.ecc, config_.nand.page_size_bytes,
-                   reread.value().bit_errors, retry_seed)
+    if (DecodePage(pool.config.ecc, config_.nand.page_size_bytes, reread.value().bit_errors,
+                   {config_.nand.seed, loc.block, loc.page, reread.value().bit_errors,
+                    static_cast<uint64_t>(retry)})
             .corrected) {
       auto clean = nand_.PeekClean({loc.block, loc.page});
       if (clean.ok()) {
@@ -542,10 +539,9 @@ Result<FtlReadResult> Ftl::DecodeRead(const PhysLoc& loc, ReadResult raw, bool c
           rescue_ok = false;
           break;
         }
-        const uint64_t member_seed =
-            DeriveSeed({config_.nand.seed, loc.block, p, member.value().bit_errors});
         rescue_ok = DecodePage(pool.config.ecc, config_.nand.page_size_bytes,
-                               member.value().bit_errors, member_seed)
+                               member.value().bit_errors,
+                               {config_.nand.seed, loc.block, p, member.value().bit_errors})
                         .corrected;
       }
       if (rescue_ok) {

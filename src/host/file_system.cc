@@ -18,6 +18,13 @@ ExtentFileSystem::ExtentFileSystem(BlockDevice* device, SimClock* clock)
       [this](uint64_t new_capacity) { OnCapacityChange(new_capacity); });
 }
 
+std::vector<ExtentFileSystem::IdSlot>::const_iterator ExtentFileSystem::EntryOf(
+    uint64_t file_id) const {
+  auto it = std::lower_bound(by_id_.begin(), by_id_.end(), file_id,
+                             [](const IdSlot& e, uint64_t id) { return e.id < id; });
+  return it != by_id_.end() && it->id == file_id ? it : by_id_.end();
+}
+
 void ExtentFileSystem::OnCapacityChange(uint64_t new_capacity_blocks) {
   capacity_blocks_ = std::min(capacity_blocks_, new_capacity_blocks);
 }
@@ -104,16 +111,24 @@ Result<uint64_t> ExtentFileSystem::CreateFile(FileMeta meta, std::span<const uin
   }
 
   const uint64_t id = file.meta.file_id;
-  files_.emplace(id, std::move(file));
+  uint64_t slot = slab_.size();
+  if (free_slots_.empty()) {
+    slab_.push_back(std::move(file));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(file);
+  }
+  by_id_.push_back({id, slot});
   return id;
 }
 
 Result<FileReadResult> ExtentFileSystem::ReadFile(uint64_t file_id) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
+  const auto it = EntryOf(file_id);
+  if (it == by_id_.end()) {
     return Status(StatusCode::kNotFound, "no such file");
   }
-  FsFile& file = it->second;
+  FsFile& file = slab_[it->slot];
   FileReadResult result;
   result.data.reserve(file.content_bytes);
   const uint32_t bs = device_->block_size();
@@ -157,11 +172,11 @@ Result<FileReadResult> ExtentFileSystem::ReadFile(uint64_t file_id) {
 }
 
 Status ExtentFileSystem::OverwriteFile(uint64_t file_id, std::span<const uint8_t> content) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
+  const auto it = EntryOf(file_id);
+  if (it == by_id_.end()) {
     return Status(StatusCode::kNotFound, "no such file");
   }
-  FsFile& file = it->second;
+  FsFile& file = slab_[it->slot];
   const uint32_t bs = device_->block_size();
   uint64_t allocated_bytes = 0;
   for (const auto& e : file.extents) {
@@ -196,26 +211,29 @@ Status ExtentFileSystem::OverwriteFile(uint64_t file_id, std::span<const uint8_t
 }
 
 Status ExtentFileSystem::DeleteFile(uint64_t file_id) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
+  const auto it = EntryOf(file_id);
+  if (it == by_id_.end()) {
     return Status(StatusCode::kNotFound, "no such file");
   }
-  for (const auto& e : it->second.extents) {
+  FsFile& file = slab_[it->slot];
+  for (const auto& e : file.extents) {
     for (uint32_t i = 0; i < e.blocks; ++i) {
       IgnoreResult(device_->Trim(e.lba + i));  // trim failures are advisory
     }
   }
-  Release(it->second.extents);
-  files_.erase(it);
+  Release(file.extents);
+  file = FsFile{};
+  free_slots_.push_back(it->slot);
+  by_id_.erase(it);
   return Status::Ok();
 }
 
 Status ExtentFileSystem::ReclassifyFile(uint64_t file_id, PlacementHandle placement) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
+  const auto it = EntryOf(file_id);
+  if (it == by_id_.end()) {
     return Status(StatusCode::kNotFound, "no such file");
   }
-  FsFile& file = it->second;
+  FsFile& file = slab_[it->slot];
   if (file.placement == placement) {
     return Status::Ok();
   }
@@ -231,29 +249,21 @@ Status ExtentFileSystem::ReclassifyFile(uint64_t file_id, PlacementHandle placem
 }
 
 const FileMeta* ExtentFileSystem::Lookup(uint64_t file_id) const {
-  auto it = files_.find(file_id);
-  return it == files_.end() ? nullptr : &it->second.meta;
+  const auto it = EntryOf(file_id);
+  return it == by_id_.end() ? nullptr : &slab_[it->slot].meta;
 }
 
 PlacementHandle ExtentFileSystem::PlacementOf(uint64_t file_id) const {
-  auto it = files_.find(file_id);
-  assert(it != files_.end());
-  return it->second.placement;
-}
-
-Result<PlacementSpec> ExtentFileSystem::PlacementSpecOf(uint64_t file_id) const {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
-    return Status(StatusCode::kNotFound, "no such file");
-  }
-  return device_->DescribePlacement(it->second.placement);
+  const auto it = EntryOf(file_id);
+  assert(it != by_id_.end());
+  return slab_[it->slot].placement;
 }
 
 std::vector<const FileMeta*> ExtentFileSystem::ScanFiles() const {
   std::vector<const FileMeta*> metas;
-  metas.reserve(files_.size());
-  for (const auto& [id, file] : files_) {
-    metas.push_back(&file.meta);
+  metas.reserve(by_id_.size());
+  for (const IdSlot& e : by_id_) {
+    metas.push_back(&slab_[e.slot].meta);
   }
   return metas;
 }
@@ -264,7 +274,8 @@ void ExtentFileSystem::ForEachFile(const std::function<void(const FileView&)>& f
   // as open keeps its spec until the walk ends. Failed describes are not
   // memoized: `fn` may open that slot mid-walk.
   std::array<std::optional<Durability>, kMaxPlacementHandles> memo{};
-  for (const auto& [id, file] : files_) {
+  for (const IdSlot& e : by_id_) {
+    const FsFile& file = slab_[e.slot];
     const uint32_t slot = file.placement.id();  // kInvalidId for no handle
     std::optional<Durability> durability = slot < memo.size() ? memo[slot] : std::nullopt;
     if (!durability.has_value()) {
@@ -281,7 +292,7 @@ void ExtentFileSystem::ForEachFile(const std::function<void(const FileView&)>& f
 
 FsStats ExtentFileSystem::Stats() const {
   FsStats stats;
-  stats.files = files_.size();
+  stats.files = by_id_.size();
   stats.used_blocks = used_blocks_;
   stats.capacity_blocks = capacity_blocks_;
   stats.writes_issued = writes_issued_;

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -83,12 +82,14 @@ class ExtentFileSystem {
   [[nodiscard]] Status ReclassifyFile(uint64_t file_id, PlacementHandle placement);
 
   // --- Introspection -------------------------------------------------------
+  //
+  // The pointers Lookup and ScanFiles return, and the references in a
+  // FileView, stay valid until the next CreateFile or DeleteFile (a create
+  // may move every file in the table).
 
+  // The file's metadata, or nullptr for an id that is not live.
   const FileMeta* Lookup(uint64_t file_id) const;
   PlacementHandle PlacementOf(uint64_t file_id) const;
-  // The spec behind the file's handle (device lookup); errors if the handle
-  // was closed out from under the file.
-  [[nodiscard]] Result<PlacementSpec> PlacementSpecOf(uint64_t file_id) const;
   FsStats Stats() const;
   uint64_t FreeBlocks() const;
 
@@ -122,13 +123,28 @@ class ExtentFileSystem {
     bool synthetic = false;      // sized-but-empty content (metadata-only sims)
   };
 
+  // One live file's place in the slab. `by_id_` holds one per live file,
+  // sorted by id.
+  struct IdSlot {
+    uint64_t id = 0;
+    uint64_t slot = 0;
+  };
+
+  // The file's entry in `by_id_`, or by_id_.end() when it is not live.
+  std::vector<IdSlot>::const_iterator EntryOf(uint64_t file_id) const;
+
   [[nodiscard]] Result<std::vector<Extent>> Allocate(uint64_t blocks_needed);
   void Release(const std::vector<Extent>& extents);
   void OnCapacityChange(uint64_t new_capacity_blocks);
 
   BlockDevice* device_;
   SimClock* clock_;
-  std::map<uint64_t, FsFile> files_;
+  // The file table: files live in slab slots, and a deleted file's slot is
+  // reused by the next create. Ids only grow, so a create appends to
+  // `by_id_` and a walk of `by_id_` visits files in id order.
+  std::vector<FsFile> slab_;
+  std::vector<uint64_t> free_slots_;  // LIFO
+  std::vector<IdSlot> by_id_;
   std::vector<uint64_t> free_lbas_;  // LIFO free list
   uint64_t next_unused_lba_ = 0;     // bump allocator frontier
   uint64_t capacity_blocks_ = 0;     // tracks device shrink

@@ -24,7 +24,7 @@ namespace {
 
 // Quiet-window horizons, longest first. A longer window skips more passes;
 // a shorter one still holds for files whose score drifts towards a threshold.
-constexpr uint32_t kQuietHorizonsDays[] = {64, 16, 4, 1};
+constexpr std::array<uint32_t, 4> kQuietHorizonsDays = {64, 16, 4, 1};
 
 // Distance a score bound must keep from a threshold. Far above the rounding
 // error of the bound, far below any score difference a threshold resolves.
@@ -33,25 +33,21 @@ constexpr double kQuietMargin = 1e-9;
 }  // namespace
 
 std::optional<SimTimeUs> MigrationDaemon::QuietUntil(const FileMeta& meta, Durability durability,
-                                                     SimTimeUs now) const {
+                                                     std::span<const SimTimeUs> ends,
+                                                     std::span<const ScoreRange> bounds) const {
   const double bias = config_.type_score_bias[static_cast<size_t>(meta.type)];
-  for (const uint32_t days : kQuietHorizonsDays) {
-    const SimTimeUs until = now + DaysToUs(days);
-    double lo = 0.0;
-    double hi = 0.0;
-    if (!model_->ScoreBounds(meta, now, until, &lo, &hi)) {
-      return std::nullopt;
-    }
+  for (size_t k = 0; k < ends.size(); ++k) {
     // The biased, clamped score is monotone in the raw score, so the bounds
     // carry over. The age gate on demotion is ignored: staying below the
     // demote threshold is enough.
     const bool quiet =
         durability == Durability::kCritical
-            ? std::clamp(hi + bias, 0.0, 1.0) + kQuietMargin < config_.demote_threshold
+            ? std::clamp(bounds[k].hi + bias, 0.0, 1.0) + kQuietMargin < config_.demote_threshold
             : !config_.allow_promotion ||
-                  std::clamp(lo + bias, 0.0, 1.0) - kQuietMargin > config_.promote_threshold;
+                  std::clamp(bounds[k].lo + bias, 0.0, 1.0) - kQuietMargin >
+                      config_.promote_threshold;
     if (quiet) {
-      return until;
+      return ends[k];
     }
   }
   return std::nullopt;
@@ -74,6 +70,11 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     }
     return fs_->ReclassifyFile(meta.file_id, handle.value()).ok();
   };
+  std::array<SimTimeUs, kQuietHorizonsDays.size()> ends{};
+  for (size_t k = 0; k < ends.size(); ++k) {
+    ends[k] = now + DaysToUs(kQuietHorizonsDays[k]);
+  }
+  std::array<ScoreRange, kQuietHorizonsDays.size()> bounds{};
   std::vector<QuietFile> kept;
   kept.reserve(quiet_.size());
   auto cached = quiet_.cbegin();
@@ -97,10 +98,10 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
       kept.push_back(*cached);
       return;
     }
-    const double score =
-        std::clamp(model_->Score(meta, now) +
-                       config_.type_score_bias[static_cast<size_t>(meta.type)],
-                   0.0, 1.0);
+    double raw_score = 0.0;
+    const bool bounded = model_->ScoreAndBounds(meta, now, ends, &raw_score, bounds);
+    const double score = std::clamp(
+        raw_score + config_.type_score_bias[static_cast<size_t>(meta.type)], 0.0, 1.0);
     if (durability == Durability::kCritical && score >= config_.demote_threshold &&
         now >= meta.created_us + config_.min_age_us) {
       if (reclassify(meta, Durability::kDegradable)) {
@@ -113,9 +114,11 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
       if (reclassify(meta, Durability::kCritical)) {
         ++stats.promoted;
       }
-    } else if (const auto until = QuietUntil(meta, durability, now); until.has_value()) {
-      kept.push_back({meta.file_id, meta.read_count, meta.write_count, meta.last_accessed_us,
-                      *until, file.placement.id(), durability});
+    } else if (bounded) {
+      if (const auto until = QuietUntil(meta, durability, ends, bounds); until.has_value()) {
+        kept.push_back({meta.file_id, meta.read_count, meta.write_count, meta.last_accessed_us,
+                        *until, file.placement.id(), durability});
+      }
     }
   });
   quiet_ = std::move(kept);

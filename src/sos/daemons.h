@@ -25,6 +25,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -99,10 +100,12 @@ class MigrationDaemon {
     Durability durability = Durability::kCritical;
   };
 
-  // End of the longest fixed horizon from `now` over which `meta`, held
-  // under `durability`, stays on its no-action side; empty if none does.
+  // The first of `ends` (the ends of the horizons from now, longest first)
+  // over whose window the score bounds `bounds` keep `meta`, held under
+  // `durability`, on its no-action side; empty if none does.
   std::optional<SimTimeUs> QuietUntil(const FileMeta& meta, Durability durability,
-                                      SimTimeUs now) const;
+                                      std::span<const SimTimeUs> ends,
+                                      std::span<const ScoreRange> bounds) const;
 
   ExtentFileSystem* fs_;
   PlacementDirectory* placements_;

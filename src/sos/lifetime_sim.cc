@@ -199,6 +199,9 @@ void LifetimeSim::ApplyEvent(const WorkloadEvent& event) {
   if (event.at > clock_.now()) {
     clock_.AdvanceTo(event.at);
   }
+  // Live file id behind the event's ref; 0 for none.
+  const uint64_t fsid =
+      event.file_ref < ref_to_fsid_.size() ? ref_to_fsid_[event.file_ref] : 0;
   switch (event.op) {
     case WorkloadOp::kCreate: {
       FileMeta meta = event.meta;
@@ -232,6 +235,9 @@ void LifetimeSim::ApplyEvent(const WorkloadEvent& event) {
         workload_->DropRef(event.file_ref);
         return;
       }
+      if (event.file_ref >= ref_to_fsid_.size()) {
+        ref_to_fsid_.resize(event.file_ref + 1);
+      }
       ref_to_fsid_[event.file_ref] = created.value();
       result_.host_bytes_written_ += meta.size_bytes;
       if (cloud_ != nullptr && !content.empty()) {
@@ -240,46 +246,43 @@ void LifetimeSim::ApplyEvent(const WorkloadEvent& event) {
       break;
     }
     case WorkloadOp::kRead: {
-      auto it = ref_to_fsid_.find(event.file_ref);
-      if (it != ref_to_fsid_.end()) {
+      if (fsid != 0) {
         // Reads exist to age the device (read disturb); degraded or failed
         // payloads are an expected outcome on approximate pools.
-        const FileMeta* meta = fs_->Lookup(it->second);
-        if (fs_->ReadFile(it->second).ok() && meta != nullptr) {
+        const FileMeta* meta = fs_->Lookup(fsid);
+        if (fs_->ReadFile(fsid).ok() && meta != nullptr) {
           result_.bytes_served_ += std::min(meta->size_bytes, config_.file_size_cap);
         }
       }
       break;
     }
     case WorkloadOp::kUpdate: {
-      auto it = ref_to_fsid_.find(event.file_ref);
-      if (it == ref_to_fsid_.end()) {
+      if (fsid == 0) {
         return;
       }
-      const FileMeta* meta = fs_->Lookup(it->second);
+      const FileMeta* meta = fs_->Lookup(fsid);
       if (meta == nullptr) {
         return;
       }
       const uint64_t bytes = std::min(meta->size_bytes, config_.file_size_cap);
       const std::vector<uint8_t> content = ContentFor(event.file_ref, bytes);
-      if (fs_->OverwriteFile(it->second, content).ok()) {
+      if (fs_->OverwriteFile(fsid, content).ok()) {
         result_.host_bytes_written_ += bytes;
         if (cloud_ != nullptr && !content.empty()) {
-          cloud_->Store(it->second, content);
+          cloud_->Store(fsid, content);
         }
       }
       break;
     }
     case WorkloadOp::kDelete: {
-      auto it = ref_to_fsid_.find(event.file_ref);
-      if (it != ref_to_fsid_.end()) {
+      if (fsid != 0) {
         if (cloud_ != nullptr) {
-          cloud_->Forget(it->second);
+          cloud_->Forget(fsid);
         }
         // kNotFound is legal here: the auto-delete daemon may have reclaimed
         // the file already, leaving this ref stale until now.
-        IgnoreResult(fs_->DeleteFile(it->second));
-        ref_to_fsid_.erase(it);
+        IgnoreResult(fs_->DeleteFile(fsid));
+        ref_to_fsid_[event.file_ref] = 0;
       }
       break;
     }

@@ -251,11 +251,9 @@ class LifetimeSim {
   std::unique_ptr<DegradationMonitor> monitor_;
   std::unique_ptr<AutoDeleteManager> autodelete_;
   std::unique_ptr<InMemoryCloud> cloud_;
-  // Workload file-ref -> live file id. Lookup/erase only -- never iterated:
-  // any walk of this map would feed hash order into the simulation (soslint
-  // R1). Iteration over live files goes through fs_->ScanFiles(), which is
-  // id-ordered.
-  std::unordered_map<uint64_t, uint64_t> ref_to_fsid_;
+  // Live file id of each workload file ref, indexed by ref; 0 for none.
+  // Generators number refs from 1, as the FS numbers file ids.
+  std::vector<uint64_t> ref_to_fsid_;
   obs::TraceSink trace_;
   HealthState health_state_ = HealthState::kHealthy;
   LifetimeResult result_;

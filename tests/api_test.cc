@@ -52,7 +52,7 @@ TEST_P(EccPresetTest, UberMonotonicInRber) {
 TEST_P(EccPresetTest, DecodeZeroErrorsAlwaysClean) {
   const EccScheme scheme = EccScheme::FromPreset(GetParam());
   for (uint32_t page : {512u, 4096u, 16384u}) {
-    const DecodeOutcome out = DecodePage(scheme, page, 0, 1);
+    const DecodeOutcome out = DecodePage(scheme, page, 0, {1});
     EXPECT_TRUE(out.corrected);
     EXPECT_EQ(out.residual_errors, 0u);
   }

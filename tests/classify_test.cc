@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+
 #include "src/classify/classifier.h"
 #include "src/classify/corpus.h"
 #include "src/classify/eval.h"
@@ -300,6 +304,94 @@ TEST(ModelsTest, ModelsWithoutBoundsSayNo) {
   double hi = 0.0;
   EXPECT_FALSE(m.nb.ScoreBounds(m.corpus[0], 0, kUsPerDay, &lo, &hi));
   EXPECT_FALSE(m.rules.ScoreBounds(m.corpus[0], 0, kUsPerDay, &lo, &hi));
+}
+
+// The single-extraction call must give bit for bit what Score plus one
+// ScoreBounds per window gives: the migration daemon's verdicts rest on it.
+TEST(ModelsTest, LogisticScoreAndBoundsMatchSeparateCalls) {
+  const auto m = TrainedModels::Make();
+  Rng rng(92);
+  for (size_t i = 0; i < m.corpus.size(); i += 11) {
+    FileMeta meta = m.corpus[i];
+    meta.read_count = static_cast<uint32_t>(rng.NextBounded(200));
+    meta.write_count = static_cast<uint32_t>(rng.NextBounded(50));
+    meta.last_accessed_us = meta.created_us + rng.NextBounded(kUsPerYear);
+    const SimTimeUs now = rng.NextBounded(meta.last_accessed_us + kUsPerYear);
+    const std::array<SimTimeUs, 5> ends = {now + 64 * kUsPerDay, now + 16 * kUsPerDay,
+                                           now + kUsPerHour + rng.NextBounded(kUsPerYear),
+                                           now + kUsPerDay, now};
+    double score = -1.0;
+    std::array<ScoreRange, 5> bounds{};
+    ASSERT_TRUE(m.logistic.ScoreAndBounds(meta, now, ends, &score, bounds));
+    EXPECT_EQ(std::bit_cast<uint64_t>(score), std::bit_cast<uint64_t>(m.logistic.Score(meta, now)))
+        << "file " << i;
+    for (size_t k = 0; k < ends.size(); ++k) {
+      double lo = -1.0;
+      double hi = -1.0;
+      ASSERT_TRUE(m.logistic.ScoreBounds(meta, now, ends[k], &lo, &hi));
+      EXPECT_EQ(std::bit_cast<uint64_t>(bounds[k].lo), std::bit_cast<uint64_t>(lo))
+          << "file " << i << " window " << k;
+      EXPECT_EQ(std::bit_cast<uint64_t>(bounds[k].hi), std::bit_cast<uint64_t>(hi))
+          << "file " << i << " window " << k;
+    }
+  }
+}
+
+// Implements Score and ScoreBounds only, forwarding both to `inner` (bounds
+// only when `bounds` is set), and counts the calls ScoreAndBounds makes.
+class ForwardingModel final : public BinaryClassifier {
+ public:
+  ForwardingModel(const BinaryClassifier* inner, bool bounds) : inner_(inner), bounds_(bounds) {}
+  double Score(const FileMeta& meta, SimTimeUs now_us) const override {
+    ++score_calls;
+    return inner_->Score(meta, now_us);
+  }
+  bool ScoreBounds(const FileMeta& meta, SimTimeUs t0_us, SimTimeUs t1_us, double* lo,
+                   double* hi) const override {
+    ++bound_calls;
+    return bounds_ && inner_->ScoreBounds(meta, t0_us, t1_us, lo, hi);
+  }
+  mutable int score_calls = 0;
+  mutable int bound_calls = 0;
+
+ private:
+  const BinaryClassifier* inner_;
+  bool bounds_;
+};
+
+TEST(ModelsTest, ScoreAndBoundsDefaultMakesTheSeparateCalls) {
+  const auto m = TrainedModels::Make();
+  const FileMeta& meta = m.corpus[3];
+  const SimTimeUs now = m.now;
+  const std::array<SimTimeUs, 3> ends = {now + 64 * kUsPerDay, now + 4 * kUsPerDay, now};
+  std::array<ScoreRange, 3> bounds{};
+  double score = -1.0;
+
+  // A model that bounds its score: one Score, one ScoreBounds per window.
+  const ForwardingModel bounding(&m.logistic, /*bounds=*/true);
+  ASSERT_TRUE(bounding.ScoreAndBounds(meta, now, ends, &score, bounds));
+  EXPECT_EQ(bounding.score_calls, 1);
+  EXPECT_EQ(bounding.bound_calls, 3);
+  EXPECT_EQ(score, m.logistic.Score(meta, now));
+  for (size_t k = 0; k < ends.size(); ++k) {
+    double lo = -1.0;
+    double hi = -1.0;
+    ASSERT_TRUE(m.logistic.ScoreBounds(meta, now, ends[k], &lo, &hi));
+    EXPECT_EQ(bounds[k].lo, lo);
+    EXPECT_EQ(bounds[k].hi, hi);
+  }
+
+  // A model without bounds: the score, and "cannot bound" after one try.
+  const ForwardingModel score_only(&m.logistic, /*bounds=*/false);
+  EXPECT_FALSE(score_only.ScoreAndBounds(meta, now, ends, &score, bounds));
+  EXPECT_EQ(score_only.score_calls, 1);
+  EXPECT_EQ(score_only.bound_calls, 1);
+  EXPECT_EQ(score, m.logistic.Score(meta, now));
+  for (const BinaryClassifier* model : {static_cast<const BinaryClassifier*>(&m.nb),
+                                        static_cast<const BinaryClassifier*>(&m.rules)}) {
+    EXPECT_FALSE(model->ScoreAndBounds(meta, now, ends, &score, bounds));
+    EXPECT_EQ(score, model->Score(meta, now));
+  }
 }
 
 TEST(ModelsTest, BoostedStumpsCompetitive) {

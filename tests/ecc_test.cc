@@ -92,27 +92,27 @@ TEST(EccSchemeTest, NoEccHasZeroLimit) {
 
 TEST(DecodePageTest, ZeroErrorsAlwaysCorrected) {
   for (EccPreset preset : {EccPreset::kNone, EccPreset::kWeakBch, EccPreset::kBch}) {
-    const DecodeOutcome out = DecodePage(EccScheme::FromPreset(preset), 4096, 0, 1);
+    const DecodeOutcome out = DecodePage(EccScheme::FromPreset(preset), 4096, 0, {1});
     EXPECT_TRUE(out.corrected);
     EXPECT_EQ(out.residual_errors, 0u);
   }
 }
 
 TEST(DecodePageTest, NoEccLeaksEverything) {
-  const DecodeOutcome out = DecodePage(EccScheme::FromPreset(EccPreset::kNone), 4096, 17, 1);
+  const DecodeOutcome out = DecodePage(EccScheme::FromPreset(EccPreset::kNone), 4096, 17, {1});
   EXPECT_FALSE(out.corrected);
   EXPECT_EQ(out.residual_errors, 17u);
 }
 
 TEST(DecodePageTest, FewErrorsCorrected) {
   // 4 codewords * t=40: 20 errors can never exceed any single codeword.
-  const DecodeOutcome out = DecodePage(EccScheme::FromPreset(EccPreset::kBch), 4096, 20, 42);
+  const DecodeOutcome out = DecodePage(EccScheme::FromPreset(EccPreset::kBch), 4096, 20, {42});
   EXPECT_TRUE(out.corrected);
 }
 
 TEST(DecodePageTest, ManyErrorsFail) {
   // 4 codewords * t=40 = 160 correctable in the best case; 400 must fail.
-  const DecodeOutcome out = DecodePage(EccScheme::FromPreset(EccPreset::kBch), 4096, 400, 42);
+  const DecodeOutcome out = DecodePage(EccScheme::FromPreset(EccPreset::kBch), 4096, 400, {42});
   EXPECT_FALSE(out.corrected);
   EXPECT_GT(out.residual_errors, 0u);
   EXPECT_GT(out.failed_codewords, 0u);
@@ -121,8 +121,8 @@ TEST(DecodePageTest, ManyErrorsFail) {
 TEST(DecodePageTest, DeterministicPerSeed) {
   const EccScheme scheme = EccScheme::FromPreset(EccPreset::kWeakBch);
   // 40 errors over 4 codewords of t=8: borderline, scatter decides.
-  const DecodeOutcome a = DecodePage(scheme, 4096, 40, 7);
-  const DecodeOutcome b = DecodePage(scheme, 4096, 40, 7);
+  const DecodeOutcome a = DecodePage(scheme, 4096, 40, {7});
+  const DecodeOutcome b = DecodePage(scheme, 4096, 40, {7});
   EXPECT_EQ(a.corrected, b.corrected);
   EXPECT_EQ(a.residual_errors, b.residual_errors);
   EXPECT_EQ(a.failed_codewords, b.failed_codewords);
@@ -138,7 +138,7 @@ TEST(DecodePageTest, AtMostTErrorsAlwaysCorrect) {
     for (const uint32_t page_bytes : {uint32_t{4 * kKiB}, uint32_t{16 * kKiB}}) {
       for (uint64_t raw = 0; raw <= scheme.correctable_bits; ++raw) {
         for (uint64_t seed = 0; seed < 256; ++seed) {
-          const DecodeOutcome out = DecodePage(scheme, page_bytes, raw, seed);
+          const DecodeOutcome out = DecodePage(scheme, page_bytes, raw, {seed});
           ASSERT_TRUE(out.corrected) << EccPresetName(preset) << " raw=" << raw;
           ASSERT_EQ(out.residual_errors, 0u);
           ASSERT_EQ(out.failed_codewords, 0u);
@@ -154,7 +154,7 @@ TEST(DecodePageTest, OneErrorPastTFailsASingleCodewordPage) {
   for (const EccPreset preset : {EccPreset::kWeakBch, EccPreset::kBch, EccPreset::kLdpc}) {
     const EccScheme scheme = EccScheme::FromPreset(preset);
     const uint64_t raw = scheme.correctable_bits + 1;
-    const DecodeOutcome out = DecodePage(scheme, scheme.codeword_bytes, raw, 3);
+    const DecodeOutcome out = DecodePage(scheme, scheme.codeword_bytes, raw, {3});
     EXPECT_FALSE(out.corrected) << EccPresetName(preset);
     EXPECT_EQ(out.failed_codewords, 1u);
     EXPECT_EQ(out.residual_errors, raw);

@@ -152,7 +152,7 @@ TEST(PreferenceBiasTest, NegativeBiasProtectsAType) {
   clock.Advance(7 * kUsPerDay);
 
   auto durability_of = [&](uint64_t file_id) {
-    return fs.PlacementSpecOf(file_id).value().durability;
+    return device.DescribePlacement(fs.PlacementOf(file_id)).value().durability;
   };
   // Without bias: demoted.
   {
@@ -195,7 +195,8 @@ TEST(PreferenceBiasTest, PositiveBiasVolunteersAType) {
   config.type_score_bias[static_cast<size_t>(FileType::kDocument)] = 1.0;
   MigrationDaemon daemon(&fs, &placements, &model, config);
   daemon.RunOnce(clock.now());
-  EXPECT_EQ(fs.PlacementSpecOf(id.value()).value().durability, Durability::kDegradable);
+  EXPECT_EQ(device.DescribePlacement(fs.PlacementOf(id.value())).value().durability,
+            Durability::kDegradable);
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/flash/fault_hook.h"
 #include "src/host/file_system.h"
@@ -193,6 +197,65 @@ TEST(FileSystemTest, ScanFilesSeesAll) {
     EXPECT_EQ(file.extents.size(), 1u);
   });
   EXPECT_EQ(ids, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+}
+
+// Creates and deletes interleave so that freed table slots are reused out of
+// id order. Walks stay in ascending id order, deleted ids stay gone, and
+// every live file keeps its own metadata and content.
+TEST(FileSystemTest, SlotReuseKeepsIdOrderAndForgetsDeletedIds) {
+  FsFixture f;
+  std::map<uint64_t, uint8_t> live;  // id -> content seed
+  std::vector<uint64_t> deleted;
+  Rng rng(11);
+  for (int step = 0; step < 200; ++step) {
+    if (live.size() < 3 || (live.size() < 12 && rng.NextBounded(2) == 0)) {
+      const uint8_t seed = static_cast<uint8_t>(step);
+      FileMeta meta = PhotoMeta(512);
+      meta.path = "dcim/img_" + std::to_string(step) + ".jpg";
+      auto id = f.fs.CreateFile(meta, Content(512, seed), f.critical);
+      ASSERT_TRUE(id.ok()) << id.status().ToString();
+      live[id.value()] = seed;
+    } else {
+      auto victim = live.begin();
+      std::advance(victim, rng.NextBounded(live.size()));
+      ASSERT_TRUE(f.fs.DeleteFile(victim->first).ok());
+      deleted.push_back(victim->first);
+      live.erase(victim);
+    }
+
+    std::vector<uint64_t> want;
+    for (const auto& [id, seed] : live) {
+      want.push_back(id);
+    }
+    std::vector<uint64_t> walked;
+    f.fs.ForEachFile(
+        [&](const ExtentFileSystem::FileView& file) { walked.push_back(file.meta.file_id); });
+    ASSERT_EQ(walked, want);
+    std::vector<uint64_t> scanned;
+    for (const FileMeta* meta : f.fs.ScanFiles()) {
+      scanned.push_back(meta->file_id);
+    }
+    ASSERT_EQ(scanned, want);
+    ASSERT_EQ(f.fs.Stats().files, live.size());
+  }
+
+  ASSERT_GT(deleted.size(), 50u);
+  for (const uint64_t id : deleted) {
+    EXPECT_EQ(f.fs.Lookup(id), nullptr);
+    EXPECT_EQ(f.fs.ReadFile(id).status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(f.fs.OverwriteFile(id, {}).code(), StatusCode::kNotFound);
+    EXPECT_EQ(f.fs.ReclassifyFile(id, f.degradable).code(), StatusCode::kNotFound);
+    EXPECT_EQ(f.fs.DeleteFile(id).code(), StatusCode::kNotFound);
+  }
+  for (const auto& [id, seed] : live) {
+    const FileMeta* meta = f.fs.Lookup(id);
+    ASSERT_NE(meta, nullptr);
+    EXPECT_EQ(meta->file_id, id);
+    EXPECT_EQ(meta->path, "dcim/img_" + std::to_string(seed) + ".jpg");
+    auto read = f.fs.ReadFile(id);
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read.value().data, Content(512, seed));
+  }
 }
 
 TEST(FileSystemTest, ForEachFileSeesHandlesOpenedMidWalk) {

@@ -284,7 +284,7 @@ struct DaemonFixture {
 
   // The file's declared durability, for placement assertions.
   Durability DurabilityOf(uint64_t id) {
-    auto spec = fs.PlacementSpecOf(id);
+    auto spec = device.DescribePlacement(fs.PlacementOf(id));
     EXPECT_TRUE(spec.ok());
     return spec.value().durability;
   }

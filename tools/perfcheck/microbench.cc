@@ -163,7 +163,7 @@ uint64_t EccWorkload(uint32_t passes, uint64_t* ops) {
       const EccScheme& scheme = (i & 1u) ? bch : ldpc;
       const uint64_t raw = rng.NextBounded(700);
       const DecodeOutcome out =
-          DecodePage(scheme, 4096, raw, DeriveSeed({0x45434333ull, pass, i}));
+          DecodePage(scheme, 4096, raw, {0x45434333ull, pass, i});
       acc = DeriveSeed({acc, out.corrected ? 1u : 0u, out.residual_errors, out.failed_codewords});
       ++*ops;
     }
@@ -180,7 +180,7 @@ uint64_t EccPresetWorkload(EccPreset preset, uint64_t tag, uint64_t* ops) {
   Rng rng(DeriveSeed({tag, 0x45434334ull}));
   for (uint32_t i = 0; i < 10000; ++i) {
     const uint64_t raw = rng.NextBounded(700);
-    const DecodeOutcome out = DecodePage(scheme, 4096, raw, DeriveSeed({tag, 0x45434335ull, i}));
+    const DecodeOutcome out = DecodePage(scheme, 4096, raw, {tag, 0x45434335ull, i});
     acc = DeriveSeed({acc, out.corrected ? 1u : 0u, out.residual_errors, out.failed_codewords});
     ++*ops;
   }
