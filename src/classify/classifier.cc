@@ -15,11 +15,15 @@ std::vector<const FileMeta*> AsPointers(const std::vector<FileMeta>& corpus) {
 
 bool BinaryClassifier::ScoreAndBounds(const FileMeta& meta, SimTimeUs now_us,
                                       std::span<const SimTimeUs> ends, double* score,
-                                      std::span<ScoreRange> bounds) const {
+                                      std::span<ScoreRange> bounds,
+                                      const BoundsStop& stop) const {
   *score = Score(meta, now_us);
   for (size_t k = 0; k < ends.size(); ++k) {
     if (!ScoreBounds(meta, now_us, ends[k], &bounds[k].lo, &bounds[k].hi)) {
       return false;
+    }
+    if (stop && stop(k, bounds[k])) {
+      break;
     }
   }
   return true;

@@ -19,6 +19,8 @@
 #ifndef SOS_SRC_CLASSIFY_CLASSIFIER_H_
 #define SOS_SRC_CLASSIFY_CLASSIFIER_H_
 
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -54,14 +56,20 @@ class BinaryClassifier {
     return false;
   }
 
-  // Sets *score = Score(meta, now_us) and, for every k, bounds[k] to what
-  // ScoreBounds(meta, now_us, ends[k], ...) gives (every ends[k] >= now_us,
-  // bounds.size() >= ends.size()). Returns false when the model cannot bound
-  // its score; `bounds` is then unspecified. The default makes exactly those
-  // calls; a model overrides it to extract the features of `meta` once.
+  // Stop test of ScoreAndBounds, called with k and bounds[k] after each
+  // bounded end: true means the caller needs no further end bounded.
+  using BoundsStop = std::function<bool(size_t k, const ScoreRange& bound)>;
+
+  // Sets *score = Score(meta, now_us) and, for k = 0, 1, ..., bounds[k] to
+  // what ScoreBounds(meta, now_us, ends[k], ...) gives (every ends[k] >=
+  // now_us, bounds.size() >= ends.size()), until `stop` returns true; the
+  // bounds past that k are left untouched. An empty `stop` bounds every end.
+  // Returns false when the model cannot bound its score; `bounds` is then
+  // unspecified. The default makes exactly those calls; a model overrides it
+  // to extract the features of `meta` once.
   virtual bool ScoreAndBounds(const FileMeta& meta, SimTimeUs now_us,
                               std::span<const SimTimeUs> ends, double* score,
-                              std::span<ScoreRange> bounds) const;
+                              std::span<ScoreRange> bounds, const BoundsStop& stop) const;
 
   // Hard decision at `threshold` (default 0.5). Higher thresholds are more
   // conservative about declaring a file expendable/deletable.

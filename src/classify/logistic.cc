@@ -139,7 +139,8 @@ bool LogisticClassifier::ScoreBounds(const FileMeta& meta, SimTimeUs t0_us, SimT
 // end, so an end's terms are the terms at `now_us` with those replaced.
 bool LogisticClassifier::ScoreAndBounds(const FileMeta& meta, SimTimeUs now_us,
                                         std::span<const SimTimeUs> ends, double* score,
-                                        std::span<ScoreRange> bounds) const {
+                                        std::span<ScoreRange> bounds,
+                                        const BoundsStop& stop) const {
   FeatureVector f = ExtractFeatures(meta, now_us);
   const Terms now_terms = TermsOf(f);
   *score = Sigmoid(Logit(now_terms));
@@ -150,6 +151,9 @@ bool LogisticClassifier::ScoreAndBounds(const FileMeta& meta, SimTimeUs now_us,
       end_terms[j] = Term(j, f[j]);
     }
     bounds[k] = Bound(now_terms, end_terms);
+    if (stop && stop(k, bounds[k])) {
+      break;
+    }
   }
   return true;
 }

@@ -33,7 +33,8 @@ class LogisticClassifier final : public BinaryClassifier {
   bool ScoreBounds(const FileMeta& meta, SimTimeUs t0_us, SimTimeUs t1_us, double* lo,
                    double* hi) const override;
   bool ScoreAndBounds(const FileMeta& meta, SimTimeUs now_us, std::span<const SimTimeUs> ends,
-                      double* score, std::span<ScoreRange> bounds) const override;
+                      double* score, std::span<ScoreRange> bounds,
+                      const BoundsStop& stop) const override;
 
   const std::array<double, kFeatureDim>& weights() const { return w_; }
   double bias() const { return b_; }

@@ -110,13 +110,27 @@ uint64_t Rng::NextBinomial(uint64_t n, double p) {
   if (np < 16.0) {
     // Inverse-transform Poisson-like exact sampling via waiting times
     // (geometric skips). O(np) expected.
-    const double log_q = std::log1p(-p);
+    //
+    // Each waiting time log(1-u)/log1p(-p) is at least u*(1-p)/p, because
+    // -log(1-u) >= u and -log1p(-p) <= p/(1-p). `min_wait` is that bound
+    // shrunk by a 1e-9 relative margin, far above the few ulps of rounding
+    // in either expression. When it already takes the sum past n, so does
+    // the rounded waiting time (rounded addition is monotone), and the draw
+    // ends without calling log: same count, same draws consumed.
+    const double min_wait = (1.0 - p) / p * (1.0 - 1e-9);
+    double log_q = 0.0;  // log1p(-p) < 0 once computed
     uint64_t count = 0;
     double sum = 0.0;
     for (;;) {
       double u = NextDouble();
       if (u >= 1.0) {
         u = 0x1.fffffffffffffp-1;
+      }
+      if (sum + u * min_wait > static_cast<double>(n)) {
+        return count;
+      }
+      if (log_q == 0.0) {
+        log_q = std::log1p(-p);
       }
       sum += std::log(1.0 - u) / log_q;
       if (sum > static_cast<double>(n)) {

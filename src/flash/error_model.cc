@@ -11,17 +11,26 @@
 namespace sos {
 
 double ErrorModel::Rber(const PageErrorState& state) {
-  const CellTechInfo& info = GetCellTechInfo(state.mode);
-  const double endurance = std::max(state.endurance_pec, 1.0);
-  const double wear_ratio = static_cast<double>(state.pec_at_program) / endurance;
+  return RberFromWear(state, WearProduct(state.mode, state.endurance_pec, state.pec_at_program));
+}
+
+double ErrorModel::WearProduct(CellTech mode, double endurance_pec, uint32_t pec_at_program) {
+  const CellTechInfo& info = GetCellTechInfo(mode);
+  const double endurance = std::max(endurance_pec, 1.0);
+  const double wear_ratio = static_cast<double>(pec_at_program) / endurance;
   const double wear_term =
       1.0 + info.wear_alpha * std::pow(std::max(wear_ratio, 0.0), info.wear_exponent);
+  return info.base_rber * wear_term;
+}
+
+double ErrorModel::RberFromWear(const PageErrorState& state, double wear_product) {
+  const CellTechInfo& info = GetCellTechInfo(state.mode);
   const double retention_term =
       1.0 + info.retention_beta *
                 std::pow(std::max(state.retention_years, 0.0), info.retention_exponent);
   const double disturb_term =
       info.read_disturb_per_read * static_cast<double>(state.reads_since_program);
-  const double rber = info.base_rber * wear_term * retention_term + disturb_term;
+  const double rber = wear_product * retention_term + disturb_term;
   return std::clamp(rber, 0.0, 0.5);
 }
 

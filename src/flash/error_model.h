@@ -40,7 +40,16 @@ struct PageErrorState {
 class ErrorModel {
  public:
   // Raw bit error rate for a page in the given state; clamped to [0, 0.5].
+  // Equal, bit for bit, to RberFromWear(state, WearProduct(state.mode,
+  // state.endurance_pec, state.pec_at_program)).
   static double Rber(const PageErrorState& state);
+
+  // base * wear_term: the first product Rber forms. It depends only on
+  // (mode, endurance, pec), so RberCache memoizes it per pec.
+  static double WearProduct(CellTech mode, double endurance_pec, uint32_t pec_at_program);
+
+  // The rest of Rber: wear_product * retention_term + disturb, clamped.
+  static double RberFromWear(const PageErrorState& state, double wear_product);
 
   // Expected number of bit errors in a payload of `bits` bits.
   static double ExpectedErrors(const PageErrorState& state, uint64_t bits);

@@ -286,7 +286,7 @@ class NandDevice {
   NandConfig config_;
   SimClock* clock_;
   std::vector<Block> blocks_;
-  // Memoized (or, by default, passthrough-exact) RBER evaluation; its
+  // Interpolated (or, by default, bit-exact) RBER evaluation; its
   // internal tables are mutable so const prediction paths share them.
   RberCache rber_cache_;
   NandStats stats_;

@@ -11,11 +11,10 @@ RberCache::RberCache(ErrorModelKind kind, bool memoize)
     : kind_(kind), memoize_(memoize) {}
 
 double RberCache::Rber(const PageErrorState& state, int retry_level) const {
-  if (!memoize_) {
-    return ComputeRber(kind_, state, retry_level);  // bit-identical default
+  if (kind_ == ErrorModelKind::kVoltage) {
+    return memoize_ ? VoltageRber(state, retry_level) : ComputeRber(kind_, state, retry_level);
   }
-  return kind_ == ErrorModelKind::kVoltage ? VoltageRber(state, retry_level)
-                                           : PhenoRber(state, retry_level);
+  return PhenoRber(state, retry_level);
 }
 
 void RberCache::EnsurePowGrid(ModeMemo& memo, double m) const {
@@ -67,16 +66,16 @@ double RberCache::PhenoRber(const PageErrorState& state, int retry_level) const 
   }
   // A retry re-reads with drift-tracking references; the phenomenological
   // mapping scales the retention age (see ComputeRber), so the same memo
-  // serves every retry level.
+  // serves every retry level. Clamping before the scaling gives the same
+  // value ComputeRber's clamp after it does, since the scale is positive.
   double t = std::max(state.retention_years, 0.0);
   if (retry_level > 0) {
     t *= 1.0 - VoltageModel::RetryTracking(retry_level);
   }
   if (memo.endurance != endurance || state.pec_at_program >= kMaxMemoPec ||
-      t > kTMaxYears) {
+      (memoize_ && t > kTMaxYears)) {
     return ComputeRber(kind_, state, retry_level);
   }
-  const CellTechInfo& info = GetCellTechInfo(state.mode);
   const uint32_t pec = state.pec_at_program;
   if (memo.base_wear_by_pec.size() <= pec) {
     memo.base_wear_by_pec.resize(
@@ -84,10 +83,14 @@ double RberCache::PhenoRber(const PageErrorState& state, int retry_level) const 
   }
   double& base_wear = memo.base_wear_by_pec[pec];
   if (base_wear < 0.0) {
-    const double wear_ratio = static_cast<double>(pec) / endurance;
-    base_wear = info.base_rber *
-                (1.0 + info.wear_alpha * std::pow(wear_ratio, info.wear_exponent));
+    base_wear = ErrorModel::WearProduct(state.mode, endurance, pec);
   }
+  if (!memoize_) {
+    PageErrorState tracked = state;
+    tracked.retention_years = t;
+    return ErrorModel::RberFromWear(tracked, base_wear);
+  }
+  const CellTechInfo& info = GetCellTechInfo(state.mode);
   const double powv = PowLookup(memo, info.retention_exponent, t);
   const double rber =
       base_wear * (1.0 + info.retention_beta * powv) +

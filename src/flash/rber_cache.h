@@ -29,11 +29,19 @@
 // full wear x retention x retry grid for every cell tech by
 // tests/rber_memo_test.cc.
 //
-// Determinism contract: memoization is OPT-IN (NandConfig::rber_memo,
-// default false). With it off, Rber() is a pure passthrough to ComputeRber
-// and every simulated byte stays identical to the historical goldens. With
-// it on, results differ from exact by at most the documented bound -- use it
-// for fleet-scale throughput runs, not for golden comparisons.
+// Determinism contract: interpolation is OPT-IN (NandConfig::rber_memo,
+// default false). With it off, Rber() equals ComputeRber bit for bit and
+// every simulated byte stays identical to the historical goldens: the
+// phenomenological path memoizes only the exact wear product
+// (ErrorModel::WearProduct) per (mode, pec) and finishes with
+// ErrorModel::RberFromWear, which is how ErrorModel::Rber itself computes,
+// so a read pays one pow() instead of two. The voltage path calls
+// ComputeRber. With it on, results differ from exact by at most the
+// documented bound -- use it for fleet-scale throughput runs, not for
+// golden comparisons.
+//
+// The tables are mutable state behind const entry points: one RberCache
+// belongs to one NandDevice and is used by one thread at a time.
 
 #ifndef SOS_SRC_FLASH_RBER_CACHE_H_
 #define SOS_SRC_FLASH_RBER_CACHE_H_
@@ -64,7 +72,7 @@ class RberCache {
 
   RberCache(ErrorModelKind kind, bool memoize);
 
-  // RBER for `state` at `retry_level`. Pure passthrough to ComputeRber when
+  // RBER for `state` at `retry_level`; equal to ComputeRber when
   // memoization is off. const (with mutable tables) because the prediction
   // entry points on NandDevice are const.
   double Rber(const PageErrorState& state, int retry_level) const;
@@ -92,7 +100,7 @@ class RberCache {
   // rather than serving stale entries.
   struct ModeMemo {
     double endurance = -1.0;
-    std::vector<double> base_wear_by_pec;  // base_rber * wear_term(pec); <0 = empty
+    std::vector<double> base_wear_by_pec;  // ErrorModel::WearProduct(pec); <0 = empty
     std::vector<double> sigma_by_pec;      // voltage sigma(pec); <0 = empty
     bool pow_built = false;
     double inv_log_step = 0.0;             // 1 / ln(grid ratio)

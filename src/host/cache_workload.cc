@@ -173,8 +173,7 @@ std::vector<WorkloadEvent> FlashCacheWorkloadGenerator::Day(uint64_t day_index) 
     }
   }
 
-  std::sort(events.begin(), events.end(),
-            [](const WorkloadEvent& a, const WorkloadEvent& b) { return a.at < b.at; });
+  SortByTime(events);
   return events;
 }
 

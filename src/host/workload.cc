@@ -26,6 +26,36 @@ uint64_t DailyCount(Rng& rng, double rate) {
 
 }  // namespace
 
+void SortByTime(std::vector<WorkloadEvent>& events) {
+  struct Key {
+    SimTimeUs at;
+    size_t index;
+  };
+  std::vector<Key> keys;
+  keys.reserve(events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    keys.push_back({events[i].at, i});
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) { return a.at < b.at; });
+  // Slot i takes events[keys[i].index]: walk each cycle of the permutation
+  // once, marking a slot done by pointing its key at itself.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].index == i) {
+      continue;
+    }
+    WorkloadEvent held = std::move(events[i]);
+    size_t j = i;
+    while (keys[j].index != i) {
+      const size_t from = keys[j].index;
+      events[j] = std::move(events[from]);
+      keys[j].index = j;
+      j = from;
+    }
+    events[j] = std::move(held);
+    keys[j].index = j;
+  }
+}
+
 MobileWorkloadGenerator::MobileWorkloadGenerator(const MobileWorkloadConfig& config)
     : config_(config), rng_(DeriveSeed({config.seed, 0x776f726b6c6f6164ull /* "workload" */})) {}
 
@@ -146,8 +176,7 @@ std::vector<WorkloadEvent> MobileWorkloadGenerator::Day(uint64_t day_index) {
     }
   }
 
-  std::sort(events.begin(), events.end(),
-            [](const WorkloadEvent& a, const WorkloadEvent& b) { return a.at < b.at; });
+  SortByTime(events);
   return events;
 }
 

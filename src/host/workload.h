@@ -39,6 +39,13 @@ struct WorkloadEvent {
   FileMeta meta;          // populated for kCreate only
 };
 
+// Puts `events` in exactly the order std::sort with `a.at < b.at` gives,
+// ties included, but sorts 16-byte {at, index} keys and then permutes the
+// events in place, moving each about once. libstdc++'s sort moves elements
+// as a function of comparison outcomes only, and the keys compare as their
+// events do.
+void SortByTime(std::vector<WorkloadEvent>& events);
+
 // Driver-facing generator interface: day-batched event streams over
 // generator-scoped refs. Implementations: the mobile generator below and the
 // flash-cache generator (src/host/cache_workload.h).

@@ -32,25 +32,17 @@ constexpr double kQuietMargin = 1e-9;
 
 }  // namespace
 
-std::optional<SimTimeUs> MigrationDaemon::QuietUntil(const FileMeta& meta, Durability durability,
-                                                     std::span<const SimTimeUs> ends,
-                                                     std::span<const ScoreRange> bounds) const {
-  const double bias = config_.type_score_bias[static_cast<size_t>(meta.type)];
-  for (size_t k = 0; k < ends.size(); ++k) {
-    // The biased, clamped score is monotone in the raw score, so the bounds
-    // carry over. The age gate on demotion is ignored: staying below the
-    // demote threshold is enough.
-    const bool quiet =
-        durability == Durability::kCritical
-            ? std::clamp(bounds[k].hi + bias, 0.0, 1.0) + kQuietMargin < config_.demote_threshold
-            : !config_.allow_promotion ||
-                  std::clamp(bounds[k].lo + bias, 0.0, 1.0) - kQuietMargin >
-                      config_.promote_threshold;
-    if (quiet) {
-      return ends[k];
-    }
-  }
-  return std::nullopt;
+bool MigrationDaemon::Quiet(FileType type, Durability durability,
+                            const ScoreRange& bound) const {
+  // The biased, clamped score is monotone in the raw score, so the bounds
+  // carry over. The age gate on demotion is ignored: staying below the
+  // demote threshold is enough.
+  const double bias = config_.type_score_bias[static_cast<size_t>(type)];
+  return durability == Durability::kCritical
+             ? std::clamp(bound.hi + bias, 0.0, 1.0) + kQuietMargin < config_.demote_threshold
+             : !config_.allow_promotion ||
+                   std::clamp(bound.lo + bias, 0.0, 1.0) - kQuietMargin >
+                       config_.promote_threshold;
 }
 
 MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
@@ -75,6 +67,18 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
     ends[k] = now + DaysToUs(kQuietHorizonsDays[k]);
   }
   std::array<ScoreRange, kQuietHorizonsDays.size()> bounds{};
+  // Stop test of ScoreAndBounds: bound the ends longest first and stop at
+  // the first one whose window keeps the file being scored quiet.
+  FileType scored_type = FileType::kSystem;
+  Durability scored_durability = Durability::kCritical;
+  size_t quiet_end = ends.size();
+  const BinaryClassifier::BoundsStop stop_when_quiet = [&](size_t k, const ScoreRange& bound) {
+    if (!Quiet(scored_type, scored_durability, bound)) {
+      return false;
+    }
+    quiet_end = k;
+    return true;
+  };
   std::vector<QuietFile> kept;
   kept.reserve(quiet_.size());
   auto cached = quiet_.cbegin();
@@ -99,7 +103,11 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
       return;
     }
     double raw_score = 0.0;
-    const bool bounded = model_->ScoreAndBounds(meta, now, ends, &raw_score, bounds);
+    scored_type = meta.type;
+    scored_durability = durability;
+    quiet_end = ends.size();
+    const bool bounded =
+        model_->ScoreAndBounds(meta, now, ends, &raw_score, bounds, stop_when_quiet);
     const double score = std::clamp(
         raw_score + config_.type_score_bias[static_cast<size_t>(meta.type)], 0.0, 1.0);
     if (durability == Durability::kCritical && score >= config_.demote_threshold &&
@@ -114,11 +122,9 @@ MigrationDaemon::RunStats MigrationDaemon::RunOnce(SimTimeUs now) {
       if (reclassify(meta, Durability::kCritical)) {
         ++stats.promoted;
       }
-    } else if (bounded) {
-      if (const auto until = QuietUntil(meta, durability, ends, bounds); until.has_value()) {
-        kept.push_back({meta.file_id, meta.read_count, meta.write_count, meta.last_accessed_us,
-                        *until, file.placement.id(), durability});
-      }
+    } else if (bounded && quiet_end < ends.size()) {
+      kept.push_back({meta.file_id, meta.read_count, meta.write_count, meta.last_accessed_us,
+                      ends[quiet_end], file.placement.id(), durability});
     }
   });
   quiet_ = std::move(kept);

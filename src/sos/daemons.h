@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -100,12 +99,9 @@ class MigrationDaemon {
     Durability durability = Durability::kCritical;
   };
 
-  // The first of `ends` (the ends of the horizons from now, longest first)
-  // over whose window the score bounds `bounds` keep `meta`, held under
-  // `durability`, on its no-action side; empty if none does.
-  std::optional<SimTimeUs> QuietUntil(const FileMeta& meta, Durability durability,
-                                      std::span<const SimTimeUs> ends,
-                                      std::span<const ScoreRange> bounds) const;
+  // Whether the raw score bounds `bound` keep a file of `type`, held under
+  // `durability`, on its no-action side.
+  bool Quiet(FileType type, Durability durability, const ScoreRange& bound) const;
 
   ExtentFileSystem* fs_;
   PlacementDirectory* placements_;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -322,7 +323,7 @@ TEST(ModelsTest, LogisticScoreAndBoundsMatchSeparateCalls) {
                                            now + kUsPerDay, now};
     double score = -1.0;
     std::array<ScoreRange, 5> bounds{};
-    ASSERT_TRUE(m.logistic.ScoreAndBounds(meta, now, ends, &score, bounds));
+    ASSERT_TRUE(m.logistic.ScoreAndBounds(meta, now, ends, &score, bounds, {}));
     EXPECT_EQ(std::bit_cast<uint64_t>(score), std::bit_cast<uint64_t>(m.logistic.Score(meta, now)))
         << "file " << i;
     for (size_t k = 0; k < ends.size(); ++k) {
@@ -369,7 +370,7 @@ TEST(ModelsTest, ScoreAndBoundsDefaultMakesTheSeparateCalls) {
 
   // A model that bounds its score: one Score, one ScoreBounds per window.
   const ForwardingModel bounding(&m.logistic, /*bounds=*/true);
-  ASSERT_TRUE(bounding.ScoreAndBounds(meta, now, ends, &score, bounds));
+  ASSERT_TRUE(bounding.ScoreAndBounds(meta, now, ends, &score, bounds, {}));
   EXPECT_EQ(bounding.score_calls, 1);
   EXPECT_EQ(bounding.bound_calls, 3);
   EXPECT_EQ(score, m.logistic.Score(meta, now));
@@ -383,14 +384,62 @@ TEST(ModelsTest, ScoreAndBoundsDefaultMakesTheSeparateCalls) {
 
   // A model without bounds: the score, and "cannot bound" after one try.
   const ForwardingModel score_only(&m.logistic, /*bounds=*/false);
-  EXPECT_FALSE(score_only.ScoreAndBounds(meta, now, ends, &score, bounds));
+  EXPECT_FALSE(score_only.ScoreAndBounds(meta, now, ends, &score, bounds, {}));
   EXPECT_EQ(score_only.score_calls, 1);
   EXPECT_EQ(score_only.bound_calls, 1);
   EXPECT_EQ(score, m.logistic.Score(meta, now));
   for (const BinaryClassifier* model : {static_cast<const BinaryClassifier*>(&m.nb),
                                         static_cast<const BinaryClassifier*>(&m.rules)}) {
-    EXPECT_FALSE(model->ScoreAndBounds(meta, now, ends, &score, bounds));
+    EXPECT_FALSE(model->ScoreAndBounds(meta, now, ends, &score, bounds, {}));
     EXPECT_EQ(score, model->Score(meta, now));
+  }
+}
+
+// Both ScoreAndBounds implementations bound ends in order and stop right
+// after the end the stop test accepts: earlier bounds are the separate
+// calls' values, later ones are never computed (sentinels survive).
+TEST(ModelsTest, ScoreAndBoundsHonoursTheStopTest) {
+  const auto m = TrainedModels::Make();
+  const FileMeta& meta = m.corpus[5];
+  const SimTimeUs now = m.now;
+  const std::array<SimTimeUs, 4> ends = {now + 64 * kUsPerDay, now + 16 * kUsPerDay,
+                                         now + 4 * kUsPerDay, now + kUsPerDay};
+  const ScoreRange sentinel{-7.0, -7.0};
+  const ForwardingModel bounding(&m.logistic, /*bounds=*/true);
+  for (size_t stop_at = 0; stop_at <= ends.size(); ++stop_at) {  // ends.size(): never stops
+    for (const BinaryClassifier* model : {static_cast<const BinaryClassifier*>(&m.logistic),
+                                          static_cast<const BinaryClassifier*>(&bounding)}) {
+      bounding.score_calls = 0;
+      bounding.bound_calls = 0;
+      std::array<ScoreRange, 4> bounds;
+      bounds.fill(sentinel);
+      size_t stop_calls = 0;
+      const BinaryClassifier::BoundsStop stop = [&](size_t k, const ScoreRange& bound) {
+        EXPECT_EQ(k, stop_calls);
+        EXPECT_EQ(std::bit_cast<uint64_t>(bound.lo), std::bit_cast<uint64_t>(bounds[k].lo));
+        ++stop_calls;
+        return k == stop_at;
+      };
+      double score = -1.0;
+      ASSERT_TRUE(model->ScoreAndBounds(meta, now, ends, &score, bounds, stop));
+      const size_t bounded = std::min(stop_at + 1, ends.size());
+      EXPECT_EQ(stop_calls, bounded) << "stop_at " << stop_at;
+      if (model == &bounding) {
+        EXPECT_EQ(bounding.score_calls, 1);
+        EXPECT_EQ(bounding.bound_calls, static_cast<int>(bounded)) << "stop_at " << stop_at;
+      }
+      for (size_t k = 0; k < ends.size(); ++k) {
+        double lo = sentinel.lo;
+        double hi = sentinel.hi;
+        if (k < bounded) {
+          ASSERT_TRUE(m.logistic.ScoreBounds(meta, now, ends[k], &lo, &hi));
+        }
+        EXPECT_EQ(std::bit_cast<uint64_t>(bounds[k].lo), std::bit_cast<uint64_t>(lo))
+            << "stop_at " << stop_at << " window " << k;
+        EXPECT_EQ(std::bit_cast<uint64_t>(bounds[k].hi), std::bit_cast<uint64_t>(hi))
+            << "stop_at " << stop_at << " window " << k;
+      }
+    }
   }
 }
 

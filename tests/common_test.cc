@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/sim_clock.h"
@@ -128,6 +130,49 @@ TEST(RngTest, BinomialMeanLargeNLargeP) {
     stats.Add(static_cast<double>(rng.NextBinomial(100000, 0.01)));
   }
   EXPECT_NEAR(stats.mean(), 1000.0, 10.0);
+}
+
+// The waiting-time loop of NextBinomial's n > 64, np < 16 branch before it
+// learned to stop on a lower bound of the next waiting time, kept verbatim
+// as the reference.
+uint64_t ReferenceWaitingTimeBinomial(Rng& rng, uint64_t n, double p) {
+  const double log_q = std::log1p(-p);
+  uint64_t count = 0;
+  double sum = 0.0;
+  for (;;) {
+    double u = rng.NextDouble();
+    if (u >= 1.0) {
+      u = 0x1.fffffffffffffp-1;
+    }
+    sum += std::log(1.0 - u) / log_q;
+    if (sum > static_cast<double>(n)) {
+      return count;
+    }
+    ++count;
+  }
+}
+
+TEST(RngTest, BinomialEarlyExitMatchesWaitingTimeLoop) {
+  for (uint64_t n : {uint64_t{65}, uint64_t{32768}, uint64_t{1} << 20}) {
+    const double edge = 16.0 / static_cast<double>(n);
+    std::vector<double> ps;
+    for (double p = 1e-9; p < edge; p *= 3.0) {
+      ps.push_back(p);
+    }
+    ps.push_back(edge / 2.0);
+    ps.push_back(std::nextafter(edge, 0.0));
+    for (double p : ps) {
+      ASSERT_LT(static_cast<double>(n) * p, 16.0);
+      for (uint64_t seed = 0; seed < 2000; ++seed) {
+        Rng fast(DeriveSeed({seed, n}));
+        Rng reference(DeriveSeed({seed, n}));
+        ASSERT_EQ(fast.NextBinomial(n, p), ReferenceWaitingTimeBinomial(reference, n, p))
+            << "n=" << n << " p=" << p << " seed=" << seed;
+        ASSERT_EQ(fast.NextU64(), reference.NextU64())
+            << "n=" << n << " p=" << p << " seed=" << seed;
+      }
+    }
+  }
 }
 
 TEST(RngTest, BinomialEdgeCases) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <optional>
@@ -398,6 +399,54 @@ TEST(WorkloadTest, EventsSortedWithinDay) {
       EXPECT_LT(ev.at, day_start + kUsPerDay);
       prev = ev.at;
     }
+  }
+}
+
+// SortByTime must give std::sort's order of whole events, ties included:
+// the replay order, and so every golden, rests on it. Refs are unique, so
+// they identify which of two tied events went first.
+TEST(WorkloadTest, SortByTimeMatchesStdSortWithTies) {
+  const auto by_time = [](const WorkloadEvent& a, const WorkloadEvent& b) { return a.at < b.at; };
+  auto expect_same_order = [&](std::vector<WorkloadEvent> events, const std::string& what) {
+    std::vector<WorkloadEvent> want = events;
+    std::sort(want.begin(), want.end(), by_time);
+    SortByTime(events);
+    ASSERT_EQ(events.size(), want.size()) << what;
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(events[i].file_ref, want[i].file_ref) << what << " position " << i;
+      EXPECT_EQ(events[i].at, want[i].at) << what << " position " << i;
+      EXPECT_EQ(events[i].op, want[i].op) << what << " position " << i;
+      EXPECT_EQ(events[i].meta.path, want[i].meta.path) << what << " position " << i;
+    }
+  };
+  // Random days whose times collide often.
+  Rng rng(515);
+  for (const size_t size : std::vector<size_t>{0, 1, 2, 3, 16, 17, 18, 33, 100, 517, 4000}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<WorkloadEvent> events(size);
+      const uint64_t spread = 1 + rng.NextBounded(size / 2 + 2);
+      for (size_t i = 0; i < size; ++i) {
+        events[i].at = kUsPerDay + rng.NextBounded(spread);
+        events[i].op = static_cast<WorkloadOp>(rng.NextBounded(4));
+        events[i].file_ref = i;
+        events[i].meta.path = "f" + std::to_string(i);
+      }
+      expect_same_order(std::move(events),
+                        "size " + std::to_string(size) + " trial " + std::to_string(trial));
+    }
+  }
+  // Generator days, shuffled and cut to whole hours so ties are common.
+  MobileWorkloadConfig mobile;
+  mobile.seed = 14;
+  MobileWorkloadGenerator gen(mobile);
+  for (uint64_t day = 0; day < 10; ++day) {
+    std::vector<WorkloadEvent> events = gen.Day(day);
+    for (size_t i = 0; i < events.size(); ++i) {
+      events[i].at -= events[i].at % kUsPerHour;
+      events[i].file_ref = i;
+    }
+    rng.Shuffle(events);
+    expect_same_order(std::move(events), "mobile day " + std::to_string(day));
   }
 }
 

@@ -10,16 +10,18 @@
 //   2. out-of-range inputs (retention beyond the grid, pec beyond the memo
 //      cap, wear ratio beyond the sigma axis, disturb beyond the linear
 //      window) fall back to the exact model *bitwise*.
-//   3. memo OFF (the default): pure passthrough, bitwise equal to
-//      ComputeRber -- this is what keeps every golden byte-identical.
+//   3. memo OFF (the default): bitwise equal to ComputeRber -- this is what
+//      keeps every golden byte-identical.
 //   4. the config switches default off (NandConfig::rber_memo,
 //      FtlConfig/SosDeviceConfig::batched_relocation).
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
 
 #include <gtest/gtest.h>
+#include "src/common/rng.h"
 #include "src/flash/cell_tech.h"
 #include "src/flash/error_model.h"
 #include "src/flash/nand_device.h"
@@ -114,19 +116,73 @@ TEST(RberMemoTest, OutOfRangeInputsFallBackToExactBitwise) {
   }
 }
 
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
 TEST(RberMemoTest, MemoOffIsBitwisePassthrough) {
-  for (ErrorModelKind kind : kKinds) {
-    RberCache off(kind, false);
-    ASSERT_FALSE(off.memoizing());
-    for (CellTech tech : kAllTechs) {
-      const double endurance = static_cast<double>(GetCellTechInfo(tech).rated_endurance_pec);
-      for (uint32_t pec : {0u, 37u, 500u, 5000u}) {
-        for (double t : {0.0, 0.01, 1.0, 7.5}) {
-          for (int retry : {0, 2}) {
-            const PageErrorState state = StateFor(tech, endurance, pec, t, 123);
-            EXPECT_EQ(off.Rber(state, retry), ComputeRber(kind, state, retry))
-                << CellTechName(tech) << " pec=" << pec << " t=" << t;
-          }
+  // Voltage: a passthrough to ComputeRber.
+  RberCache voltage(ErrorModelKind::kVoltage, false);
+  ASSERT_FALSE(voltage.memoizing());
+  for (CellTech tech : kAllTechs) {
+    const double endurance = static_cast<double>(GetCellTechInfo(tech).rated_endurance_pec);
+    for (uint32_t pec : {0u, 37u, 500u, 5000u}) {
+      for (double t : {0.0, 0.01, 1.0, 7.5}) {
+        for (int retry : {0, 2}) {
+          const PageErrorState state = StateFor(tech, endurance, pec, t, 123);
+          EXPECT_EQ(Bits(voltage.Rber(state, retry)),
+                    Bits(ComputeRber(ErrorModelKind::kVoltage, state, retry)))
+              << CellTechName(tech) << " pec=" << pec << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+// Phenomenological memo off: the exact wear-product memo plus
+// ErrorModel::RberFromWear must give ComputeRber's bits for every mode
+// programmed on every physical tech (the pseudo-mode endurance bonus),
+// across wear, retention, reads and retry levels, cold and warm.
+TEST(RberMemoTest, PhenoMemoOffIsBitwiseExact) {
+  Rng rng(4711);
+  for (CellTech physical : kAllTechs) {
+    RberCache exact(ErrorModelKind::kPhenomenological, false);
+    for (CellTech mode : kAllTechs) {
+      if (static_cast<int>(mode) > static_cast<int>(physical)) {
+        continue;  // a pseudo-mode stores at most the die's native bits
+      }
+      const double endurance =
+          static_cast<double>(GetCellTechInfo(mode).rated_endurance_pec) *
+          PseudoModeEnduranceBonus(physical, mode);
+      for (int sample = 0; sample < 400; ++sample) {
+        const uint32_t pec = sample < 40 ? static_cast<uint32_t>(sample)
+                                         : static_cast<uint32_t>(rng.NextBounded(
+                                               static_cast<uint64_t>(endurance * 2.5) + 1));
+        // Retention 0 or log-uniform over [1e-6, 5] years.
+        const double t =
+            sample % 8 == 0 ? 0.0 : 1e-6 * std::pow(5e6, rng.NextDouble());
+        const uint32_t reads =
+            sample % 3 == 0 ? 0u : static_cast<uint32_t>(rng.NextBounded(200000));
+        const PageErrorState state = StateFor(mode, endurance, pec, t, reads);
+        for (int retry = 0; retry <= 3; ++retry) {
+          const uint64_t want =
+              Bits(ComputeRber(ErrorModelKind::kPhenomenological, state, retry));
+          EXPECT_EQ(Bits(exact.Rber(state, retry)), want)
+              << CellTechName(physical) << "/" << CellTechName(mode) << " pec=" << pec
+              << " t=" << t << " reads=" << reads << " retry=" << retry;
+          EXPECT_EQ(Bits(exact.Rber(state, retry)), want) << "warm";
+        }
+      }
+      // Fallbacks: an endurance the cache was not keyed on, and a pec past
+      // the memo cap; then the keyed endurance still reads exactly.
+      for (const PageErrorState& state :
+           {StateFor(mode, endurance * 2.0, 100, 0.5, 10),
+            StateFor(mode, endurance, RberCache::kMaxMemoPec, 0.5, 10),
+            StateFor(mode, endurance, RberCache::kMaxMemoPec + 5, 3.0, 0),
+            StateFor(mode, endurance, 100, 0.5, 10)}) {
+        for (int retry = 0; retry <= 3; ++retry) {
+          EXPECT_EQ(Bits(exact.Rber(state, retry)),
+                    Bits(ComputeRber(ErrorModelKind::kPhenomenological, state, retry)))
+              << CellTechName(mode) << " endurance=" << state.endurance_pec
+              << " pec=" << state.pec_at_program << " retry=" << retry;
         }
       }
     }

@@ -224,6 +224,28 @@ uint64_t BitFlipWorkload(uint64_t* ops) {
 }
 
 // ---------------------------------------------------------------------------
+// Binomial: NextBinomial's waiting-time branch (n > 64, 0 < np < 16), the
+// draw behind every simulated page read. np is log-uniform over
+// [1.6e-6, 16), so both the common near-zero draws and the long loops at
+// the branch edge count. One generator serves the parameters and the draws,
+// so a change in the draws consumed changes every later count.
+// ---------------------------------------------------------------------------
+
+uint64_t BinomialWorkload(uint64_t* ops) {
+  static constexpr uint64_t kNs[] = {65, 32768, 131072, 1u << 20};
+  Rng rng(DeriveSeed({0x42494e4full}));
+  uint64_t acc = 0x42494e50ull;
+  for (uint64_t n : kNs) {
+    for (uint32_t i = 0; i < 5000; ++i) {
+      const double np = 16.0 * std::pow(1e-7, 1.0 - rng.NextDouble());
+      acc = DeriveSeed({acc, rng.NextBinomial(n, np / static_cast<double>(n))});
+      ++*ops;
+    }
+  }
+  return acc;
+}
+
+// ---------------------------------------------------------------------------
 // NAND: program one block, read it back three times -- once through the
 // per-page loop, once through the batched run entry points. The two benches
 // fold identical observables in identical order, so their checksums must be
@@ -452,6 +474,8 @@ std::vector<MicroBench> AllBenches() {
   }));
   benches.push_back(
       Repeated("bit_flip_apply", [](uint64_t* ops) { return BitFlipWorkload(ops); }));
+  benches.push_back(
+      Repeated("binomial_small_np", [](uint64_t* ops) { return BinomialWorkload(ops); }));
   return benches;
 }
 
