@@ -3,7 +3,7 @@
 // Streaming and batch statistics used by benchmarks and monitors.
 //
 // RunningStats -- Welford-style online mean/variance/min/max, O(1) memory.
-// Percentiles  -- batch percentile computation over a retained sample vector.
+// Percentiles  -- exact percentiles over per-value sample counts.
 // Histogram    -- fixed-width bucket histogram with ASCII rendering, used by
 //                 benches to show latency and wear distributions.
 
@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -41,21 +42,25 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Retains all samples; answers arbitrary percentile queries with linear
-// interpolation between order statistics.
+// Keeps one count per distinct sample value, so memory grows with the number
+// of distinct values, not with the number of samples. Answers arbitrary
+// percentile queries exactly, with linear interpolation between order
+// statistics: the same result as sorting every sample.
 class Percentiles {
  public:
-  void Add(double x) { samples_.push_back(x); }
-  void Reserve(size_t n) { samples_.reserve(n); }
+  void Add(double x) {
+    ++counts_[x];
+    ++count_;
+  }
 
-  // p in [0, 100]. Returns 0 when empty. Sorts lazily on first query.
-  double Get(double p);
+  // p in [0, 100]. Returns 0 when empty.
+  double Get(double p) const;
 
-  size_t count() const { return samples_.size(); }
+  size_t count() const { return count_; }
 
  private:
-  std::vector<double> samples_;
-  bool sorted_ = false;
+  std::map<double, uint64_t> counts_;  // ascending value -> occurrences
+  size_t count_ = 0;
 };
 
 // Fixed-range, fixed-width bucket histogram. Values outside [lo, hi) land in

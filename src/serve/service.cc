@@ -365,11 +365,8 @@ ServeStats AsyncBlockService::Stats() const {
 }
 
 LatencySummary AsyncBlockService::Latency(QosClass cls) const {
-  Percentiles samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples = latency_us_[static_cast<uint32_t>(cls)];
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  const Percentiles& samples = latency_us_[static_cast<uint32_t>(cls)];
   LatencySummary summary;
   summary.count = samples.count();
   summary.p50 = samples.Get(50);

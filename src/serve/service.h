@@ -159,7 +159,9 @@ class AsyncBlockService {
   // --- Introspection -------------------------------------------------------
 
   ServeStats Stats() const;
-  // Percentiles are computed over a snapshot copy; callable concurrently.
+  // Exact percentiles, read under the service mutex; callable concurrently.
+  // Each class keeps one count per distinct latency in sim microseconds, so
+  // memory does not grow with requests served.
   LatencySummary Latency(QosClass cls) const;
 
   SosDevice* device() { return device_; }

@@ -9,6 +9,8 @@
 # diffs against the in-repo golden.
 #
 # Expects -DBENCH=<path to bench_lifetime_gap> and -DWORK_DIR=<scratch dir>.
+# With -DGOLDEN=<file>, the serial metrics JSON must also equal that in-repo
+# golden byte for byte.
 
 if(NOT DEFINED BENCH OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DBENCH=<bench binary> and -DWORK_DIR=<scratch dir>")
@@ -50,5 +52,15 @@ foreach(pair IN ITEMS "metrics_serial.json|metrics_parallel.json"
         "(scheduling leaked into the deterministic stream)")
   endif()
 endforeach()
+
+if(DEFINED GOLDEN)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files "${GOLDEN}" "${WORK_DIR}/metrics_serial.json"
+    RESULT_VARIABLE golden_rc)
+  if(NOT golden_rc EQUAL 0)
+    message(FATAL_ERROR "${WORK_DIR}/metrics_serial.json differs from the golden ${GOLDEN}")
+  endif()
+  message(STATUS "metrics byte-identical to ${GOLDEN}")
+endif()
 
 message(STATUS "metrics, trace and stdout byte-identical for --jobs=1 vs --jobs=4")

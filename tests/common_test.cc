@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -248,6 +250,55 @@ TEST(PercentilesTest, InterpolatesOrderStatistics) {
 TEST(PercentilesTest, EmptyReturnsZero) {
   Percentiles p;
   EXPECT_EQ(p.Get(50), 0.0);
+}
+
+TEST(PercentilesTest, AddAfterGetIsSeen) {
+  // A query must not freeze the order statistics: samples added after it
+  // count in the next one.
+  Percentiles p;
+  p.Add(5);
+  EXPECT_EQ(p.Get(50), 5.0);
+  p.Add(1);
+  p.Add(1);
+  EXPECT_EQ(p.Get(0), 1.0);
+  EXPECT_EQ(p.Get(50), 1.0);
+  EXPECT_EQ(p.Get(100), 5.0);
+  EXPECT_EQ(p.count(), 3u);
+}
+
+// The sort-and-interpolate formula Percentiles used when it kept every
+// sample; the per-value counts must reproduce it bit for bit.
+double SortedPercentile(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  p = std::clamp(p, 0.0, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
+
+TEST(PercentilesTest, CountsMatchSortedSamplesBitForBit) {
+  Rng rng(2026);
+  for (const size_t n : std::vector<size_t>{1, 2, 3, 10, 1000, 20011}) {
+    for (const uint64_t distinct : std::vector<uint64_t>{1, 7, 60000}) {
+      Percentiles counted;
+      std::vector<double> samples;
+      for (size_t i = 0; i < n; ++i) {
+        const double x = static_cast<double>(rng.NextBounded(distinct) * 13 + 100);
+        counted.Add(x);
+        samples.push_back(x);
+      }
+      ASSERT_EQ(counted.count(), n);
+      for (double p : {0.0, 0.1, 50.0, 99.0, 99.9, 100.0}) {
+        const double want = SortedPercentile(samples, p);
+        const double got = counted.Get(p);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "n=" << n << " distinct=" << distinct << " p=" << p << ": " << got
+            << " vs " << want;
+      }
+    }
+  }
 }
 
 TEST(HistogramTest, BucketsAndClamping) {
