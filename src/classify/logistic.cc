@@ -63,6 +63,10 @@ LogisticClassifier LogisticClassifier::Train(const std::vector<const FileMeta*>&
   for (size_t j = 0; j < kFeatureDim; ++j) {
     model.feat_std_[j] = std::max(std::sqrt(model.feat_std_[j] / n), 1e-6);
   }
+  // Standardized once, in place: every epoch revisits the same values.
+  for (auto& f : features) {
+    f = model.Standardize(f);
+  }
 
   // SGD with per-epoch shuffling and 1/sqrt(epoch) learning-rate decay.
   std::vector<size_t> order(features.size());
@@ -72,7 +76,7 @@ LogisticClassifier LogisticClassifier::Train(const std::vector<const FileMeta*>&
     rng.Shuffle(order);
     const double lr = config.learning_rate / std::sqrt(static_cast<double>(epoch) + 1.0);
     for (size_t idx : order) {
-      const auto x = model.Standardize(features[idx]);
+      const FeatureVector& x = features[idx];
       double z = model.b_;
       for (size_t j = 0; j < kFeatureDim; ++j) {
         z += model.w_[j] * x[j];

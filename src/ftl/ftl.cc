@@ -795,9 +795,8 @@ Status Ftl::Migrate(uint64_t lba, const WriteDirective& directive) {
   }
   l2p_.Set(lba, loc.value());
   ++pools_[target_pool].stats.migrations_;
-  Trace([&] {
-    return obs::TraceEvent{clock_->now(), "ftl.migrate"}
-        .WithU64("lba", lba)
+  Trace("ftl.migrate", [&](obs::TraceEvent& event) {
+    event.WithU64("lba", lba)
         .With("from", pools_[source_pool].config.name)
         .With("to", pools_[target_pool].config.name)
         .WithU64("tainted", tainted ? 1 : 0);
@@ -899,9 +898,8 @@ bool Ftl::CollectGarbage(uint32_t pool_id) {
   if (!victim.has_value()) {
     return false;
   }
-  Trace([&] {
-    return obs::TraceEvent{clock_->now(), "ftl.gc.victim"}
-        .With("pool", pool.config.name)
+  Trace("ftl.gc.victim", [&](obs::TraceEvent& event) {
+    event.With("pool", pool.config.name)
         .WithU64("block", *victim)
         .WithU64("valid_pages", block_valid_[*victim]);
   });
@@ -1140,9 +1138,8 @@ void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
   --pool.num_blocks;
   ++pool.retired;
   ++pool.stats.retired_blocks_;
-  Trace([&] {
-    return obs::TraceEvent{clock_->now(), "ftl.block.retired"}
-        .With("pool", pool.config.name)
+  Trace("ftl.block.retired", [&](obs::TraceEvent& event) {
+    event.With("pool", pool.config.name)
         .WithU64("block", block_id)
         .WithU64("pec", nand_.block_info(block_id).pec);
   });
@@ -1161,9 +1158,8 @@ void Ftl::RecycleBlock(uint32_t pool_id, uint32_t block_id) {
       Status label = nand_.SetBlockLabel(block_id, *pool.resuscitate_pool);
       assert(label.ok());
       (void)label;
-      Trace([&] {
-        return obs::TraceEvent{clock_->now(), "ftl.block.resuscitated"}
-            .With("from", pool.config.name)
+      Trace("ftl.block.resuscitated", [&](obs::TraceEvent& event) {
+        event.With("from", pool.config.name)
             .With("to", target.config.name)
             .WithU64("block", block_id);
       });
@@ -1245,9 +1241,8 @@ Status Ftl::DropBadBlock(uint32_t pool_id, uint32_t block_id) {
   Status label = nand_.SetBlockLabel(block_id, NandDevice::kNoLabel);
   assert(label.ok());
   (void)label;
-  Trace([&] {
-    return obs::TraceEvent{clock_->now(), "ftl.block.grown_bad"}
-        .With("pool", pool.config.name)
+  Trace("ftl.block.grown_bad", [&](obs::TraceEvent& event) {
+    event.With("pool", pool.config.name)
         .WithU64("block", block_id);
   });
   NotifyCapacity();

@@ -43,6 +43,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -579,12 +580,13 @@ class Ftl {
   [[nodiscard]] Status RelocatePage(uint32_t pool_id, uint64_t lba,
                                     const FtlReadResult& read, bool count_as_wl);
 
-  // Emits the event `build()` returns (no-op when no sink is attached).
-  // `build` runs only if the sink keeps the event (obs::TraceSink::Emit).
+  // Emits an event of `type` stamped now, with the fields `build` adds
+  // (no-op when no sink is attached). `build` runs only if the sink keeps
+  // the event (obs::TraceSink::Emit).
   template <typename Build>
-  void Trace(Build&& build) {
+  void Trace(std::string_view type, Build&& build) {
     if (trace_ != nullptr) {
-      trace_->Emit(std::forward<Build>(build));
+      trace_->Emit(clock_->now(), type, std::forward<Build>(build));
     }
   }
 

@@ -9,13 +9,13 @@
 // only; components stamp events with SimClock::now() at the emit site.
 //
 // Overflow policy: keep-first / drop-newest. Once `capacity` events are
-// buffered, further Emit() calls only bump the dropped counter. The first N
+// kept, further Emit() calls only bump the dropped counter. The first N
 // events of a run are therefore identical no matter how much pressure later
 // phases generate -- the bounded trace itself stays deterministic.
 //
 // An event costs only what the sink keeps: emit sites hand Emit() a builder,
-// which runs only while the sink has room, and each field is rendered to its
-// JSON text once, when it is added.
+// which runs only while the sink has room and writes typed fields straight
+// into the sink's TraceLog. JSON is produced only on export.
 
 #ifndef SOS_SRC_OBS_TRACE_H_
 #define SOS_SRC_OBS_TRACE_H_
@@ -33,34 +33,80 @@
 namespace sos::obs {
 
 class MetricRegistry;
+class TraceLog;
 
-// One discrete simulator event. `type` follows the metric naming scheme
-// (`layer.component.event`, e.g. "ftl.gc.victim"); `fields` holds the
-// fields already rendered as JSON, one `, "key": value` fragment per With*()
-// call in call order, so an event is two strings and rendering it is a
-// concatenation.
-struct TraceEvent {
-  TraceEvent() = default;
-  TraceEvent(SimTimeUs t, std::string event_type) : t_us(t), type(std::move(event_type)) {}
-
-  SimTimeUs t_us = 0;
-  std::string type;
-  std::string fields;
-
-  bool operator==(const TraceEvent& other) const = default;
-
-  // Field helpers render values deterministically (decimal u64/i64, %.17g
-  // doubles) and return *this for chaining at the emit site. A With() value
-  // that is numeric-shaped renders bare, like the numeric helpers' output;
-  // anything else is quoted.
+// Writes one event's fields into its TraceLog; they export in call order,
+// `key` as the JSON key. A With() value that is a JSON number renders bare,
+// like the numeric helpers' output; anything else is quoted.
+class TraceEvent {
+ public:
   TraceEvent& With(std::string_view key, std::string_view value);
   TraceEvent& WithU64(std::string_view key, uint64_t value);
   TraceEvent& WithI64(std::string_view key, int64_t value);
   TraceEvent& WithF64(std::string_view key, double value);
+
+ private:
+  friend class TraceLog;
+  explicit TraceEvent(TraceLog* log) : log_(log) {}
+
+  TraceLog* log_;
 };
 
-// Bounded collector for TraceEvents. Not thread-safe by design: each worker
-// owns its sink and results carry the recorded events across threads.
+// The kept events of one trace, encoded as one byte arena. Per event: the
+// zigzag varint delta of its sim time from the previous event's, the varint
+// id of its interned `type` (`layer.component.event`, e.g. "ftl.gc.victim"),
+// then per field a varint tag `(key id + 1) << 2 | kind` and the value -- a
+// u64 as a varint, an i64 as a zigzag varint, an f64 as its 8 raw bytes, a
+// string as a varint length and its bytes -- and a 0 byte ending the event.
+// Types and keys share one intern table, numbered in first-use order, so
+// the same events always encode to the same bytes.
+class TraceLog {
+ public:
+  // Appends one event; `build(TraceEvent&)` adds its fields.
+  template <typename Build>
+    requires std::invocable<Build&, TraceEvent&>
+  void Append(SimTimeUs t_us, std::string_view type, Build&& build) {
+    BeginEvent(t_us, type);
+    TraceEvent event(this);
+    build(event);
+    bytes_.push_back(0);
+    ++size_;
+  }
+
+  // Reserves arena room for `events` typical events. The reservation is
+  // address space only until events fill it, and it spares the full-trace
+  // copy a grow-by-doubling would make when the trace fills near the end of
+  // a run, the moment of its peak memory.
+  void Reserve(size_t events) { bytes_.reserve(events * kReservedBytesPerEvent); }
+
+  size_t size() const { return size_; }
+  size_t encoded_bytes() const { return bytes_.size(); }
+
+  bool operator==(const TraceLog& other) const = default;
+
+ private:
+  friend class TraceEvent;
+  friend std::string TraceToJsonl(const TraceLog& trace, uint64_t dropped);
+
+  enum Kind : uint8_t { kU64 = 0, kI64 = 1, kF64 = 2, kString = 3 };
+
+  // A simulator event takes about 21 B (a migration: a one-byte time delta,
+  // the type id, an LBA, two pool names and a flag).
+  static constexpr size_t kReservedBytesPerEvent = 32;
+
+  uint64_t Intern(std::string_view name);
+  void BeginEvent(SimTimeUs t_us, std::string_view type);
+  void PutVarint(uint64_t v);
+  void PutField(std::string_view key, Kind kind);
+
+  std::vector<std::string> names_;  // interned types and keys, by id
+  std::vector<uint8_t> bytes_;
+  size_t size_ = 0;
+  SimTimeUs last_t_us_ = 0;
+};
+
+// Bounded collector for trace events. Not thread-safe by design: each worker
+// owns its sink and results carry the kept trace across threads.
 class TraceSink {
  public:
   // `capacity` bounds the number of retained events (see overflow policy
@@ -68,25 +114,26 @@ class TraceSink {
   explicit TraceSink(size_t capacity = kDefaultCapacity);
 
   // True once `capacity` events are kept: every later event is dropped.
-  bool full() const { return events_.size() >= capacity_; }
+  bool full() const { return trace_.size() >= capacity_; }
 
-  // Keeps the event `build()` returns if the sink has room, else counts it
-  // as dropped without calling `build`. This is the one emit path: an event
-  // the sink would drop costs a counter increment, not its formatting.
+  // Keeps an event of `type` at `t_us`, with the fields `build` adds, if the
+  // sink has room, else counts it as dropped without calling `build`. This
+  // is the one emit path: an event the sink would drop costs a counter
+  // increment, not its encoding.
   template <typename Build>
-    requires std::invocable<Build&>
-  void Emit(Build&& build) {
+    requires std::invocable<Build&, TraceEvent&>
+  void Emit(SimTimeUs t_us, std::string_view type, Build&& build) {
     if (full()) {
       ++dropped_;
       return;
     }
-    events_.push_back(build());
+    trace_.Append(t_us, type, build);
   }
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  const TraceLog& trace() const { return trace_; }
   // Moves the kept events out, leaving the sink empty; dropped() is kept.
   // A run hands its trace to its result this way, so only one copy exists.
-  std::vector<TraceEvent> TakeEvents() { return std::exchange(events_, {}); }
+  TraceLog TakeTrace() { return std::exchange(trace_, {}); }
   uint64_t dropped() const { return dropped_; }
   size_t capacity() const { return capacity_; }
 
@@ -102,16 +149,14 @@ class TraceSink {
 
  private:
   size_t capacity_;
-  std::vector<TraceEvent> events_;
+  TraceLog trace_;
   uint64_t dropped_ = 0;
 };
 
-// One JSONL line (no trailing newline): {"t_us": ..., "type": "...", k: v, ...}.
-std::string TraceEventToJson(const TraceEvent& event);
-
-// All events, one JSON object per line, newline-terminated. A final
-// "trace.dropped" summary line records the overflow count when non-zero.
-std::string TraceToJsonl(const std::vector<TraceEvent>& events, uint64_t dropped);
+// All events, one JSON object per line, newline-terminated:
+// {"t_us": ..., "type": "...", k: v, ...}. A final "trace.dropped" summary
+// line records the overflow count when non-zero.
+std::string TraceToJsonl(const TraceLog& trace, uint64_t dropped);
 
 // Renders `sink` with TraceToJsonl and writes it to `path`.
 [[nodiscard]] Status WriteTraceFile(const std::string& path, const TraceSink& sink);

@@ -258,9 +258,8 @@ AutoDeleteManager::RunStats AutoDeleteManager::RunOnce(SimTimeUs now) {
   }
   ++stats.activations;
   if (trace_ != nullptr) {
-    trace_->Emit([&] {
-      return obs::TraceEvent{now, "sos.autodelete.activated"}.WithF64("free_fraction",
-                                                                        free_before);
+    trace_->Emit(now, "sos.autodelete.activated", [&](obs::TraceEvent& event) {
+      event.WithF64("free_fraction", free_before);
     });
   }
 
@@ -301,11 +300,8 @@ AutoDeleteManager::RunStats AutoDeleteManager::RunOnce(SimTimeUs now) {
         ++stats.files_deleted;
         stats.bytes_freed += c.bytes;
         if (trace_ != nullptr) {
-          trace_->Emit([&] {
-            return obs::TraceEvent{now, "sos.autodelete.trim"}
-                .WithU64("file_id", c.id)
-                .WithF64("score", c.score)
-                .WithU64("bytes", c.bytes);
+          trace_->Emit(now, "sos.autodelete.trim", [&](obs::TraceEvent& event) {
+            event.WithU64("file_id", c.id).WithF64("score", c.score).WithU64("bytes", c.bytes);
           });
         }
       }

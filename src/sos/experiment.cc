@@ -83,10 +83,11 @@ std::string BatchMetricsJson(const std::vector<LifetimeResult>& results) {
 std::string BatchTraceJsonl(const std::vector<LifetimeResult>& results) {
   std::string out;
   for (size_t i = 0; i < results.size(); ++i) {
-    obs::TraceEvent header{0, "trace.run"};
-    header.WithU64("run", i).With("device", DeviceKindSlug(results[i].kind()));
-    out += obs::TraceEventToJson(header);
-    out += '\n';
+    obs::TraceLog header;
+    header.Append(0, "trace.run", [&](obs::TraceEvent& event) {
+      event.WithU64("run", i).With("device", DeviceKindSlug(results[i].kind()));
+    });
+    out += obs::TraceToJsonl(header, 0);
     out += obs::TraceToJsonl(results[i].trace(), results[i].trace_dropped());
   }
   return out;

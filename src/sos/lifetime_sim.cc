@@ -347,9 +347,8 @@ void LifetimeSim::UpdateHealthState(uint32_t day) {
   }
   if (next != health_state_) {
     ++result_.health_transitions_;
-    trace_.Emit([&] {
-      return obs::TraceEvent{clock_.now(), "sos.health.transition"}
-          .WithU64("day", day)
+    trace_.Emit(clock_.now(), "sos.health.transition", [&](obs::TraceEvent& event) {
+      event.WithU64("day", day)
           .With("from", HealthStateName(health_state_))
           .With("to", HealthStateName(next))
           .WithF64("max_wear_ratio", wear)
@@ -474,7 +473,7 @@ LifetimeResult LifetimeSim::Run() {
     ftl.nand().ToMetrics(device_registry, "flash.die.");
     result_.device_metrics_ = device_registry.Snapshot();
   }
-  result_.trace_ = trace_.TakeEvents();
+  result_.trace_ = trace_.TakeTrace();
   result_.trace_dropped_ = trace_.dropped();
   return std::move(result_);
 }

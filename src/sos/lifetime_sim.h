@@ -173,7 +173,7 @@ class LifetimeResult {
   // Device metric rows (ftl.*, flash.die.*) snapshotted at end of run.
   const obs::MetricsSnapshot& device_metrics() const { return device_metrics_; }
   // FTL + daemon event trace, bounded (keep-first) with overflow count.
-  const std::vector<obs::TraceEvent>& trace() const { return trace_; }
+  const obs::TraceLog& trace() const { return trace_; }
   uint64_t trace_dropped() const { return trace_dropped_; }
   // Total daemon RunOnce invocations (migration + monitor + auto-delete).
   uint64_t daemon_activations() const { return daemon_activations_; }
@@ -212,7 +212,7 @@ class LifetimeResult {
   uint64_t retrainings_ = 0;
   double projected_lifetime_years_ = 0.0;
   obs::MetricsSnapshot device_metrics_;
-  std::vector<obs::TraceEvent> trace_;
+  obs::TraceLog trace_;
   uint64_t trace_dropped_ = 0;
   uint64_t daemon_activations_ = 0;
   uint64_t health_transitions_ = 0;

@@ -10,7 +10,8 @@
 #
 # Expects -DBENCH=<path to bench_lifetime_gap> and -DWORK_DIR=<scratch dir>.
 # With -DGOLDEN=<file>, the serial metrics JSON must also equal that in-repo
-# golden byte for byte.
+# golden byte for byte. With -DTRACE_SHA256=<hex>, the serial trace JSONL
+# must have that SHA-256 (a trace too large to keep as a golden file).
 
 if(NOT DEFINED BENCH OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR "pass -DBENCH=<bench binary> and -DWORK_DIR=<scratch dir>")
@@ -61,6 +62,15 @@ if(DEFINED GOLDEN)
     message(FATAL_ERROR "${WORK_DIR}/metrics_serial.json differs from the golden ${GOLDEN}")
   endif()
   message(STATUS "metrics byte-identical to ${GOLDEN}")
+endif()
+
+if(DEFINED TRACE_SHA256)
+  file(SHA256 "${WORK_DIR}/trace_serial.jsonl" trace_sha256)
+  if(NOT trace_sha256 STREQUAL TRACE_SHA256)
+    message(FATAL_ERROR
+        "${WORK_DIR}/trace_serial.jsonl has SHA-256 ${trace_sha256}, expected ${TRACE_SHA256}")
+  endif()
+  message(STATUS "trace SHA-256 is ${TRACE_SHA256}")
 endif()
 
 message(STATUS "metrics, trace and stdout byte-identical for --jobs=1 vs --jobs=4")

@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "src/classify/classifier.h"
 #include "src/classify/corpus.h"
@@ -269,6 +272,110 @@ TEST(ModelsTest, TrainingIsDeterministic) {
   const LogisticClassifier b = LogisticClassifier::Train(pointers, &ExpendableLabel, kUsPerYear);
   EXPECT_EQ(a.weights(), b.weights());
   EXPECT_EQ(a.bias(), b.bias());
+}
+
+// LogisticClassifier::Train as it was when it standardized every sample in
+// every epoch, kept verbatim apart from returning the weights and bias.
+struct ReferenceLogistic {
+  std::array<double, kFeatureDim> w{};
+  double b = 0.0;
+};
+
+double ReferenceSigmoid(double z) {
+  if (z > 30.0) {
+    return 1.0;
+  }
+  if (z < -30.0) {
+    return 0.0;
+  }
+  return 1.0 / (1.0 + std::exp(-z));
+}
+
+ReferenceLogistic TrainPerEpochStandardize(const std::vector<const FileMeta*>& corpus,
+                                           LabelFn label_fn, SimTimeUs now_us,
+                                           const LogisticConfig& config) {
+  ReferenceLogistic model;
+  std::array<double, kFeatureDim> feat_mean{};
+  std::array<double, kFeatureDim> feat_std{};
+  const auto standardize = [&](const FeatureVector& f) {
+    std::array<double, kFeatureDim> out{};
+    for (size_t j = 0; j < kFeatureDim; ++j) {
+      out[j] = (f[j] - feat_mean[j]) / feat_std[j];
+    }
+    return out;
+  };
+
+  std::vector<FeatureVector> features;
+  std::vector<double> labels;
+  features.reserve(corpus.size());
+  labels.reserve(corpus.size());
+  for (const FileMeta* meta : corpus) {
+    features.push_back(ExtractFeatures(*meta, now_us));
+    labels.push_back(label_fn(*meta) ? 1.0 : 0.0);
+  }
+
+  const double n = std::max<double>(1.0, static_cast<double>(features.size()));
+  for (const auto& f : features) {
+    for (size_t j = 0; j < kFeatureDim; ++j) {
+      feat_mean[j] += f[j];
+    }
+  }
+  for (size_t j = 0; j < kFeatureDim; ++j) {
+    feat_mean[j] /= n;
+  }
+  for (const auto& f : features) {
+    for (size_t j = 0; j < kFeatureDim; ++j) {
+      const double d = f[j] - feat_mean[j];
+      feat_std[j] += d * d;
+    }
+  }
+  for (size_t j = 0; j < kFeatureDim; ++j) {
+    feat_std[j] = std::max(std::sqrt(feat_std[j] / n), 1e-6);
+  }
+
+  std::vector<size_t> order(features.size());
+  std::iota(order.begin(), order.end(), 0);
+  Rng rng(DeriveSeed({config.seed, 0x6c6f67697374ull /* "logist" */}));
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    rng.Shuffle(order);
+    const double lr = config.learning_rate / std::sqrt(static_cast<double>(epoch) + 1.0);
+    for (size_t idx : order) {
+      const auto x = standardize(features[idx]);
+      double z = model.b;
+      for (size_t j = 0; j < kFeatureDim; ++j) {
+        z += model.w[j] * x[j];
+      }
+      const double err = ReferenceSigmoid(z) - labels[idx];
+      for (size_t j = 0; j < kFeatureDim; ++j) {
+        model.w[j] -= lr * (err * x[j] + config.l2 * model.w[j]);
+      }
+      model.b -= lr * err;
+    }
+  }
+  return model;
+}
+
+TEST(ModelsTest, TrainingStandardizesOnceWithBitIdenticalWeights) {
+  const auto corpus = GenerateCorpus(TestCorpusConfig());
+  const auto pointers = AsPointers(corpus);
+  LogisticConfig short_run;
+  short_run.epochs = 3;
+  short_run.seed = 11;
+  for (const LabelFn label : {&ExpendableLabel, &DeletionLabel}) {
+    for (const LogisticConfig& config : {LogisticConfig{}, short_run}) {
+      const LogisticClassifier model =
+          LogisticClassifier::Train(pointers, label, kUsPerYear, config);
+      const ReferenceLogistic reference =
+          TrainPerEpochStandardize(pointers, label, kUsPerYear, config);
+      for (size_t j = 0; j < kFeatureDim; ++j) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(model.weights()[j]),
+                  std::bit_cast<uint64_t>(reference.w[j]))
+            << "weight " << j << ", epochs " << config.epochs;
+      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(model.bias()), std::bit_cast<uint64_t>(reference.b))
+          << "epochs " << config.epochs;
+    }
+  }
 }
 
 TEST(ModelsTest, LogisticScoreBoundsContainScore) {

@@ -7,7 +7,9 @@
 // those guarantees are built from.
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -113,57 +115,59 @@ TEST(MetricsJsonTest, RenderingIsByteStableAcrossIdenticalRegistries) {
   EXPECT_NE(a.find("\"le\": \"inf\""), std::string::npos);
 }
 
+// An event builder that adds no fields.
+void NoFields(TraceEvent&) {}
+
 TEST(TraceSinkTest, KeepsFirstEventsAndCountsDrops) {
   TraceSink sink(2);
-  sink.Emit([] { return TraceEvent{1, "first"}; });
-  sink.Emit([] { return TraceEvent{2, "second"}; });
-  sink.Emit([] { return TraceEvent{3, "dropped"}; });
-  sink.Emit([] { return TraceEvent{4, "dropped"}; });
+  sink.Emit(1, "first", NoFields);
+  sink.Emit(2, "second", NoFields);
+  sink.Emit(3, "dropped", NoFields);
+  sink.Emit(4, "dropped", NoFields);
 
-  ASSERT_EQ(sink.events().size(), 2u);
-  EXPECT_EQ(sink.events()[0].type, "first");
-  EXPECT_EQ(sink.events()[1].type, "second");
+  ASSERT_EQ(sink.trace().size(), 2u);
   EXPECT_EQ(sink.dropped(), 2u);
-
-  const std::string jsonl = TraceToJsonl(sink.events(), sink.dropped());
-  EXPECT_NE(jsonl.find("\"type\": \"trace.dropped\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"count\": 2"), std::string::npos);
+  EXPECT_EQ(TraceToJsonl(sink.trace(), sink.dropped()),
+            "{\"t_us\": 1, \"type\": \"first\"}\n"
+            "{\"t_us\": 2, \"type\": \"second\"}\n"
+            "{\"type\": \"trace.dropped\", \"count\": 2}\n");
 }
 
 TEST(TraceSinkTest, FullSinkNeverCallsBuilderButCountsEveryDrop) {
   for (const size_t capacity : {size_t{0}, size_t{2}}) {
     TraceSink sink(capacity);
     int builds = 0;
-    const auto build = [&builds] {
+    const auto build = [&builds](TraceEvent& event) {
       ++builds;
-      return TraceEvent{7, "built"}.WithU64("n", 1);
+      event.WithU64("n", 1);
     };
     for (int i = 0; i < 5; ++i) {
-      sink.Emit(build);
+      sink.Emit(7, "built", build);
     }
     // Only the kept events were built; the other emits cost a counter bump.
     EXPECT_EQ(builds, static_cast<int>(capacity)) << "capacity " << capacity;
-    EXPECT_EQ(sink.events().size(), capacity);
+    EXPECT_EQ(sink.trace().size(), capacity);
     EXPECT_EQ(sink.dropped(), 5u - capacity);
     EXPECT_TRUE(sink.full());
   }
 }
 
-TEST(TraceSinkTest, TakeEventsMovesThemOutAndKeepsTheDropCount) {
+TEST(TraceSinkTest, TakeTraceMovesItOutAndKeepsTheDropCount) {
   TraceSink sink(1);
-  sink.Emit([] { return TraceEvent{0, "kept"}; });
-  sink.Emit([] { return TraceEvent{1, "dropped"}; });
-  const std::vector<TraceEvent> taken = sink.TakeEvents();
+  sink.Emit(0, "kept", NoFields);
+  sink.Emit(1, "dropped", NoFields);
+  const TraceLog taken = sink.TakeTrace();
   ASSERT_EQ(taken.size(), 1u);
-  EXPECT_EQ(taken[0].type, "kept");
-  EXPECT_TRUE(sink.events().empty());
+  EXPECT_EQ(TraceToJsonl(taken, 0), "{\"t_us\": 0, \"type\": \"kept\"}\n");
+  EXPECT_EQ(sink.trace().size(), 0u);
+  EXPECT_EQ(sink.trace().encoded_bytes(), 0u);
   EXPECT_EQ(sink.dropped(), 1u);
 }
 
 TEST(TraceSinkTest, ToMetricsExportsEventAndDropCounters) {
   TraceSink sink(1);
-  sink.Emit([] { return TraceEvent{0, "kept"}; });
-  sink.Emit([] { return TraceEvent{1, "dropped"}; });
+  sink.Emit(0, "kept", NoFields);
+  sink.Emit(1, "dropped", NoFields);
 
   MetricRegistry registry;
   sink.ToMetrics(registry, "dev.");
@@ -192,34 +196,138 @@ TEST(HistogramTest, MergeAddsBucketsAndRejectsShapeMismatch) {
   EXPECT_FALSE(a.Merge(mismatched).ok());
 }
 
+// The JSONL line of one event at `t_us` of `type` with the fields `build`
+// adds, without its newline.
+template <typename Build>
+std::string OneLine(SimTimeUs t_us, std::string_view type, Build&& build) {
+  TraceLog log;
+  log.Append(t_us, type, build);
+  std::string line = TraceToJsonl(log, 0);
+  line.pop_back();
+  return line;
+}
+
 TEST(TraceEventTest, FieldsRenderInInsertionOrder) {
-  TraceEvent event{123, "ftl.gc.victim"};
-  event.With("pool", "SYS").WithU64("block", 7).WithF64("score", 0.5).WithI64("delta", -3);
-  const std::string json = TraceEventToJson(event);
-  EXPECT_EQ(json,
+  EXPECT_EQ(OneLine(123, "ftl.gc.victim",
+                    [](TraceEvent& event) {
+                      event.With("pool", "SYS").WithU64("block", 7).WithF64("score", 0.5).WithI64(
+                          "delta", -3);
+                    }),
             "{\"t_us\": 123, \"type\": \"ftl.gc.victim\", \"pool\": \"SYS\", "
             "\"block\": 7, \"score\": 0.5, \"delta\": -3}");
 }
 
-TEST(TraceEventTest, NumericShapedStringsRenderBare) {
-  // A With() value that looks like a number renders exactly as the numeric
-  // helpers would; anything else stays a quoted, escaped string.
-  TraceEvent event{0, "t"};
-  event.With("u", "42")
-      .With("i", "-3")
-      .With("f", "1.5e-07")
-      .With("dash", "-")
-      .With("word", "SYS")
-      .With("quote", "a\"b");
-  EXPECT_EQ(TraceEventToJson(event),
-            "{\"t_us\": 0, \"type\": \"t\", \"u\": 42, \"i\": -3, \"f\": 1.5e-07, "
-            "\"dash\": \"-\", \"word\": \"SYS\", \"quote\": \"a\\\"b\"}");
+TEST(TraceEventTest, EveryFieldKindRendersExactly) {
+  const std::string line =
+      OneLine(std::numeric_limits<uint64_t>::max(), "k\"t", [](TraceEvent& event) {
+        event.WithU64("u64_max", std::numeric_limits<uint64_t>::max())
+            .WithU64("u64_zero", 0)
+            .WithI64("i64_min", std::numeric_limits<int64_t>::min())
+            .WithI64("i64_max", std::numeric_limits<int64_t>::max())
+            .WithF64("tenth", 0.1)
+            .WithF64("neg_zero", -0.0)
+            .WithF64("tiny", 1e-300)
+            .WithF64("nan", std::numeric_limits<double>::quiet_NaN())
+            .WithF64("inf", std::numeric_limits<double>::infinity())
+            .With("quote\\key", "say \"hi\"")
+            .With("path", "C:\\tmp\\x")
+            .With("ctl", std::string_view("a\nb\tc\x01\x1f" "d\0e", 10))
+            .With("empty", "");
+      });
+  EXPECT_EQ(line,
+            "{\"t_us\": 18446744073709551615, \"type\": \"k\\\"t\", "
+            "\"u64_max\": 18446744073709551615, \"u64_zero\": 0, "
+            "\"i64_min\": -9223372036854775808, \"i64_max\": 9223372036854775807, "
+            "\"tenth\": 0.10000000000000001, \"neg_zero\": -0, \"tiny\": 1e-300, "
+            "\"nan\": \"nan\", \"inf\": \"inf\", "
+            "\"quote\\\\key\": \"say \\\"hi\\\"\", \"path\": \"C:\\\\tmp\\\\x\", "
+            "\"ctl\": \"a\\nb\\tc\\u0001\\u001fd\\u0000e\", \"empty\": \"\"}");
+}
 
-  TraceEvent typed{0, "t"};
-  typed.WithU64("u", 42).WithI64("i", -3).WithF64("f", 0.25);
-  TraceEvent strings{0, "t"};
-  strings.With("u", "42").With("i", "-3").With("f", "0.25");
+TEST(TraceEventTest, TimesMayGoBackwards) {
+  TraceLog log;
+  for (const SimTimeUs t : {SimTimeUs{500}, SimTimeUs{7}, std::numeric_limits<SimTimeUs>::max(),
+                            SimTimeUs{0}, SimTimeUs{7}}) {
+    log.Append(t, "t", NoFields);
+  }
+  EXPECT_EQ(TraceToJsonl(log, 0),
+            "{\"t_us\": 500, \"type\": \"t\"}\n"
+            "{\"t_us\": 7, \"type\": \"t\"}\n"
+            "{\"t_us\": 18446744073709551615, \"type\": \"t\"}\n"
+            "{\"t_us\": 0, \"type\": \"t\"}\n"
+            "{\"t_us\": 7, \"type\": \"t\"}\n");
+}
+
+TEST(TraceEventTest, OnlyJsonNumberStringsRenderBare) {
+  // A With() value that is a JSON number renders exactly as the numeric
+  // helpers would; anything else stays a quoted, escaped string, so every
+  // line parses as JSON.
+  EXPECT_EQ(OneLine(0, "t",
+                    [](TraceEvent& event) {
+                      event.With("zero", "0")
+                          .With("u", "42")
+                          .With("i", "-3")
+                          .With("f", "1.5e-07")
+                          .With("big", "1E+5")
+                          .With("date", "2026-10-20")
+                          .With("version", "1.2.3")
+                          .With("no_int", ".5")
+                          .With("lead_zero", "01")
+                          .With("plus", "+1")
+                          .With("no_exp", "1e")
+                          .With("no_frac", "1.")
+                          .With("minus", "-")
+                          .With("word", "SYS")
+                          .With("quote", "a\"b");
+                    }),
+            "{\"t_us\": 0, \"type\": \"t\", \"zero\": 0, \"u\": 42, \"i\": -3, "
+            "\"f\": 1.5e-07, \"big\": 1E+5, \"date\": \"2026-10-20\", "
+            "\"version\": \"1.2.3\", \"no_int\": \".5\", \"lead_zero\": \"01\", "
+            "\"plus\": \"+1\", \"no_exp\": \"1e\", \"no_frac\": \"1.\", \"minus\": \"-\", "
+            "\"word\": \"SYS\", \"quote\": \"a\\\"b\"}");
+
+  const std::string typed = OneLine(0, "t", [](TraceEvent& event) {
+    event.WithU64("u", 42).WithI64("i", -3).WithF64("f", 0.25);
+  });
+  const std::string strings = OneLine(0, "t", [](TraceEvent& event) {
+    event.With("u", "42").With("i", "-3").With("f", "0.25");
+  });
   EXPECT_EQ(typed, strings);
+}
+
+// A late-run migration: a time step, the LBA, two pool names and the flag.
+void AppendMigration(TraceLog& log, uint64_t i) {
+  const SimTimeUs t_us = 3 * 365 * 86'400'000'000ull + i * 7'919;
+  log.Append(t_us, "ftl.migrate", [&](TraceEvent& event) {
+    event.WithU64("lba", (i * 104'729) % (1u << 21))
+        .With("from", i % 3 == 0 ? "SPARE" : "SYS")
+        .With("to", i % 3 == 0 ? "SYS" : "SPARE")
+        .WithU64("tainted", i % 2);
+  });
+}
+
+TEST(TraceLogTest, MigrationsTakeAtMost32BytesEach) {
+  constexpr uint64_t kEvents = 1000;
+  TraceLog log;
+  for (uint64_t i = 0; i < kEvents; ++i) {
+    AppendMigration(log, i);
+  }
+  ASSERT_EQ(log.size(), kEvents);
+  EXPECT_LE(log.encoded_bytes(), 32 * kEvents);
+}
+
+TEST(TraceLogTest, EqualEventsEncodeEqual) {
+  TraceLog a;
+  TraceLog b;
+  for (uint64_t i = 0; i < 10; ++i) {
+    AppendMigration(a, i);
+    AppendMigration(b, i);
+  }
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(TraceToJsonl(a, 0), TraceToJsonl(b, 0));
+  a.Append(1, "x", [](TraceEvent& event) { event.WithF64("v", 0.5); });
+  b.Append(1, "x", [](TraceEvent& event) { event.WithF64("v", 0.25); });
+  EXPECT_FALSE(a == b);
 }
 
 TEST(ScopedLatencyTest, ObservesSimTimeDelta) {
